@@ -46,6 +46,8 @@ from .potential import (
     superpotential,
 )
 from .torus import (
+    denominator_residual,
+    laurent_assembly_holds,
     laurent_potential,
     predicted_denominator_restriction,
     reduced_word,
@@ -54,9 +56,10 @@ from .torus import (
     restrict_polynomial,
     restricted_term_sum,
     term_restriction_factor,
+    term_residual,
     term_restriction_residual,
     verify_term_restriction,
 )
-from .checks import CheckResult, all_passed, run_checks
+from .checks import CheckResult, all_passed, restriction_checks, run_checks
 
 __version__ = "0.1.0"

@@ -20,19 +20,17 @@ from .diagrams import (
     removable_positions,
     staircase_prefix,
 )
+from .polynomials import Polynomial
 from .potential import (
     box_derivation,
     denominator_pair_levels,
     numerator_pair_levels,
     superpotential,
 )
-from .torus import (
-    laurent_potential,
-    predicted_denominator_restriction,
-    restrict_polynomial,
-    restricted_term_sum,
-    term_restriction_residual,
-)
+from .torus import denominator_residual, laurent_assembly_holds, term_residual
+
+# Failure details name a residual's size and only its leading terms.
+DETAIL_TERMS = 3
 
 
 @dataclass(frozen=True)
@@ -106,26 +104,36 @@ def _degree_sum(n, terms):
     return CheckResult("degree_sum", n, None, total == 2 * n, f"sum {total}")
 
 
-def _denominator_restriction(n, term):
-    restricted = restrict_polynomial(n, term.denominator)
-    predicted = predicted_denominator_restriction(n, term.index)
-    ok = restricted == predicted
-    return CheckResult(
-        "denominator_restriction", n, term.index, ok,
-        "" if ok else f"restricted {restricted} != predicted {predicted}",
+def _residual_detail(residual: Polynomial) -> str:
+    """Term count of a nonzero residual plus its first DETAIL_TERMS terms."""
+    count = residual.term_count()
+    leading = residual.sorted_terms()[:DETAIL_TERMS]
+    more = " + ..." if count > DETAIL_TERMS else ""
+    return (
+        f"residual has {count} terms, first {len(leading)}:"
+        f" {Polynomial.from_terms(dict(leading))}{more}"
     )
 
 
-def _term_restriction(n, i):
-    residual = term_restriction_residual(n, i)
+def _denominator_restriction(n, term):
+    residual = denominator_residual(n, term)
     ok = not residual
     return CheckResult(
-        "term_restriction", n, i, ok, "" if ok else f"residual {residual}"
+        "denominator_restriction", n, term.index, ok,
+        "" if ok else _residual_detail(residual),
     )
 
 
-def _laurent_assembly(n):
-    ok = restricted_term_sum(n) == laurent_potential(n)
+def _term_restriction(n, term):
+    residual = term_residual(n, term)
+    ok = not residual
+    return CheckResult(
+        "term_restriction", n, term.index, ok, "" if ok else _residual_detail(residual)
+    )
+
+
+def _laurent_assembly(n, terms):
+    ok = laurent_assembly_holds(n, terms)
     return CheckResult("laurent_assembly", n, None, ok)
 
 
@@ -142,9 +150,12 @@ def run_checks(n: int) -> list[CheckResult]:
     for term in terms[: n + 1]:
         results.append(_derivation_identity(n, term))
     results.append(_degree_sum(n, terms))
-    for term in terms:
-        results.append(_denominator_restriction(n, term))
-    for i in range(n + 1):
-        results.append(_term_restriction(n, i))
-    results.append(_laurent_assembly(n))
+    return results + restriction_checks(n, terms)
+
+
+def restriction_checks(n: int, terms) -> list[CheckResult]:
+    """The torus-restriction checks of the battery, run on the given terms."""
+    results = [_denominator_restriction(n, term) for term in terms]
+    results += [_term_restriction(n, term) for term in terms[: n + 1]]
+    results.append(_laurent_assembly(n, terms))
     return results

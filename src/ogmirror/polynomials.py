@@ -143,6 +143,11 @@ class Polynomial:
         return _wrap({((var, power),): 1})
 
     @classmethod
+    def from_terms(cls, terms: dict) -> "Polynomial":
+        """Wrap canonical monomials mapped to nonzero coefficients, unchecked."""
+        return _wrap(terms)
+
+    @classmethod
     def term(cls, coeff: int, exponents: dict) -> "Polynomial":
         coeff = int(coeff)
         return _wrap({_monomial(exponents): coeff} if coeff else {})

@@ -7,9 +7,26 @@ building its diagram by scanning that word once and adding the current box
 or skipping it: each admissible subsequence contributes the product of the
 coordinates it used.  A single forward pass over the word computes the
 restriction of every diagram simultaneously.
+
+Packed exponents.  Every coordinate a[label, column] sits at exactly one
+word position, so the whole torus side works on packed polynomials in q
+and the coordinates of one rank.  A monomial is a single Python int cut
+into 16-bit fields, least significant first: field 0 holds the exponent of
+q and field t+1 the exponent of the coordinate at word position t.
+Multiplying two monomials is adding their ints, and adding the box at
+position t to a build sequence is adding 1 << 16*(t+1).  A packed
+polynomial maps such ints to nonzero integer coefficients and carries an
+upper bound on its total degree, which bounds every field; a product whose
+bound would exceed 2^16 - 1 raises OverflowError instead of carrying one
+field into the next.  Results are decoded to Polynomial only where they
+leave this module, and equality is still decided by exact
+cross-multiplication.
 """
 
+import sys
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 from .diagrams import (
     add_box,
@@ -31,6 +48,89 @@ from .polynomials import (
 )
 from .potential import potential_term, superpotential
 
+_FIELD_BITS = 16
+_FIELD_MAX = (1 << _FIELD_BITS) - 1
+
+
+def _accumulate(acc: dict, terms: dict) -> None:
+    """Add packed terms into acc in place, dropping cancelled keys."""
+    for key, coeff in terms.items():
+        total = acc.get(key, 0) + coeff
+        if total:
+            acc[key] = total
+        else:
+            del acc[key]
+
+
+class _Packed:
+    """Sparse polynomial over packed exponent ints (see the module docstring).
+
+    ``terms`` maps packed monomials to nonzero integer coefficients and is
+    never mutated once the object exists; ``degree`` is an upper bound on the
+    total degree of every term.
+    """
+
+    __slots__ = ("terms", "degree")
+
+    def __init__(self, terms: dict, degree: int):
+        self.terms = terms
+        self.degree = degree
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def term_count(self) -> int:
+        return len(self.terms)
+
+    def __neg__(self) -> "_Packed":
+        return _Packed({key: -coeff for key, coeff in self.terms.items()}, self.degree)
+
+    def __add__(self, other: "_Packed") -> "_Packed":
+        terms = dict(self.terms)
+        _accumulate(terms, other.terms)
+        return _Packed(terms, max(self.degree, other.degree))
+
+    def __sub__(self, other: "_Packed") -> "_Packed":
+        return self + (-other)
+
+    def __mul__(self, other: "_Packed") -> "_Packed":
+        degree = self.degree + other.degree
+        if degree > _FIELD_MAX:
+            raise OverflowError(
+                f"product degree bound {degree} exceeds the packed field"
+                f" maximum {_FIELD_MAX}"
+            )
+        small, large = sorted((self.terms, other.terms), key=len)
+        if len(small) == 1:
+            ((shift, scale),) = small.items()
+            return _Packed(
+                {key + shift: coeff * scale for key, coeff in large.items()}, degree
+            )
+        acc: dict = {}
+        get = acc.get
+        for k1, c1 in small.items():
+            for k2, c2 in large.items():
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+        return _Packed({key: coeff for key, coeff in acc.items() if coeff}, degree)
+
+
+_ZERO = _Packed({}, 0)
+_ONE = _Packed({0: 1}, 0)
+_Q = _Packed({1: 1}, 1)
+
+
+def _position_bit(t: int) -> int:
+    """The packed monomial of the coordinate at word position t."""
+    return 1 << _FIELD_BITS * (t + 1)
+
 
 def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
     """(label, column) pairs of the staircase boxes in reading order."""
@@ -43,32 +143,84 @@ def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _field_order(n: int) -> tuple[itemgetter, tuple]:
+    """Getter of the fields in canonical variable order, and those variables."""
+    variables = [QUANTUM] + [torus_var(label, col) for label, col in reduced_word(n)]
+    order = sorted(range(len(variables)), key=variables.__getitem__)
+    return itemgetter(*order), tuple(variables[f] for f in order)
+
+
+def _fields(key: int, count: int) -> memoryview:
+    """The 16-bit exponent fields of a packed monomial, field 0 first."""
+    return memoryview(key.to_bytes(2 * count, sys.byteorder)).cast("H")
+
+
+def _decode(n: int, packed: _Packed) -> Polynomial:
+    """The Polynomial in q and a[label, column] a packed polynomial stands for."""
+    getter, variables = _field_order(n)
+    count = len(variables)
+    terms = {}
+    for key, coeff in packed.terms.items():
+        exps = getter(_fields(key, count))
+        terms[tuple(zip(compress(variables, exps), compress(exps, exps)))] = coeff
+    return Polynomial.from_terms(terms)
+
+
+@lru_cache(maxsize=None)
 def restrict_all(n: int) -> dict:
-    """Restrictions of all Plücker variables, keyed by diagram.
+    """Packed restrictions of all Plücker variables, keyed by diagram.
 
     Forward dynamic program over the reduced word: the state maps each
-    diagram to the accumulated weight of the subsequences building it,
-    starting from {empty: 1}; at each word position every diagram keeps its
-    weight (box skipped) and, when the box is addable, also feeds weight
-    times a[label, column] to the grown diagram.  Treat the returned dict
-    as read-only; it is cached and shared.
+    diagram to the packed terms of the subsequences building it, starting
+    from {empty: 1}; at word position t every diagram keeps its terms (box
+    skipped) and, when the box is addable, also feeds its terms shifted by
+    the position's field to the grown diagram.  Values are packed
+    polynomials (decode them with restrict_plucker); treat the returned
+    dict as read-only, it is cached and shared.
     """
     check_rank(n)
-    state = {empty_diagram(n): Polynomial.one()}
-    for label, col in reduced_word(n):
-        weight = Polynomial.variable(torus_var(label, col))
+    state = {empty_diagram(n): {0: 1}}
+    transitions: dict = {}
+    for t, (label, _) in enumerate(reduced_word(n)):
+        step = _position_bit(t)
         grown_state = dict(state)
-        for rows, poly in state.items():
-            grown = add_box(n, rows, label)
+        for rows, terms in state.items():
+            if (rows, label) not in transitions:
+                transitions[rows, label] = add_box(n, rows, label)
+            grown = transitions[rows, label]
             if grown is not None:
-                grown_state[grown] = grown_state.get(grown, Polynomial.zero()) + poly * weight
+                moved = {key + step: coeff for key, coeff in terms.items()}
+                if grown in grown_state:
+                    _accumulate(moved, grown_state[grown])
+                grown_state[grown] = moved
         state = grown_state
-    return state
+    return {rows: _Packed(terms, box_count(rows)) for rows, terms in state.items()}
 
 
 def restrict_plucker(n: int, rows) -> Polynomial:
     """Path-sum restriction of one Plücker variable."""
-    return restrict_all(n)[diagram(n, rows)]
+    return _decode(n, restrict_all(n)[diagram(n, rows)])
+
+
+def _restrict(n: int, poly: Polynomial) -> _Packed:
+    """Packed restriction of a polynomial in Plücker variables and q."""
+    table = restrict_all(n)
+    acc: dict = {}
+    degree = 0
+    for mono, coeff in poly.sorted_terms():
+        piece = _Packed({0: coeff}, 0)
+        for var, exp in mono:
+            if is_plucker(var):
+                factor = table[var[1]]
+            elif is_quantum(var):
+                factor = _Q
+            else:
+                raise ValueError(f"input already contains the torus variable {var!r}")
+            for _ in range(exp):
+                piece = piece * factor
+        _accumulate(acc, piece.terms)
+        degree = max(degree, piece.degree)
+    return _Packed(acc, degree)
 
 
 def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
@@ -78,16 +230,27 @@ def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
     expanded exactly; polynomials already containing torus variables are
     rejected.
     """
-    table = restrict_all(n)
+    return _decode(n, _restrict(n, poly))
 
-    def image(var):
-        if is_plucker(var):
-            return table[var[1]]
-        if is_quantum(var):
-            return Polynomial.variable(QUANTUM)
-        raise ValueError(f"input already contains the torus variable {var!r}")
 
-    return poly.substitute(image)
+def _predicted_denominator(n: int, i: int) -> _Packed:
+    """Packed form of predicted_denominator_restriction."""
+    check_rank(n)
+    if not 0 <= i <= n + 1:
+        raise ValueError(f"term index {i} outside 0..{n + 1}")
+    word = reduced_word(n)
+    if i == 0:
+        positions = []
+    elif i == 1:
+        positions = [t for t in range(len(word)) if word[t][1] == 1]
+    elif i == n:
+        positions = range((n - 1) * n // 2)
+    elif i == n + 1:
+        positions = range(len(word))
+    else:
+        positions = [*range((i - 1) * i // 2)]
+        positions += [t for t in range(len(word)) if word[t][1] <= i]
+    return _Packed({sum(map(_position_bit, positions)): 1}, len(positions))
 
 
 def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
@@ -99,30 +262,7 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
     over all positions, and a middle index i the product over the first
     ell_{i-1} positions times the product over positions with column <= i.
     """
-    check_rank(n)
-    if not 0 <= i <= n + 1:
-        raise ValueError(f"term index {i} outside 0..{n + 1}")
-    word = reduced_word(n)
-    exponents: dict = {}
-
-    def take(positions):
-        for t in positions:
-            label, col = word[t]
-            var = torus_var(label, col)
-            exponents[var] = exponents.get(var, 0) + 1
-
-    if i == 0:
-        pass
-    elif i == 1:
-        take(t for t in range(len(word)) if word[t][1] == 1)
-    elif i == n:
-        take(range((n - 1) * n // 2))
-    elif i == n + 1:
-        take(range(len(word)))
-    else:
-        take(range((i - 1) * i // 2))
-        take(t for t in range(len(word)) if word[t][1] <= i)
-    return Polynomial.term(1, exponents)
+    return _decode(n, _predicted_denominator(n, i))
 
 
 def label_columns(n: int, label: int) -> tuple[int, ...]:
@@ -137,28 +277,49 @@ def label_columns(n: int, label: int) -> tuple[int, ...]:
     return tuple(sorted(cols))
 
 
-def term_restriction_factor(n: int, i: int) -> Polynomial:
-    """Sum of a[n+1-i, column] over the columns where label n+1-i occurs."""
+def _column_sum(n: int, i: int) -> _Packed:
+    """Packed form of term_restriction_factor."""
     check_rank(n)
     if not 0 <= i <= n:
         raise ValueError(f"term index {i} outside 0..{n}")
     label = n + 1 - i
-    total = Polynomial.zero()
-    for col in label_columns(n, label):
-        total = total + Polynomial.variable(torus_var(label, col))
-    return total
+    word = reduced_word(n)
+    return _Packed(
+        {_position_bit(word.index((label, col))): 1 for col in label_columns(n, label)},
+        1,
+    )
+
+
+def term_restriction_factor(n: int, i: int) -> Polynomial:
+    """Sum of a[n+1-i, column] over the columns where label n+1-i occurs."""
+    return _decode(n, _column_sum(n, i))
+
+
+def denominator_residual(n: int, term) -> Polynomial:
+    """restrict(denominator) minus its predicted monomial, for one term.
+
+    Zero iff the term's denominator restricts to the closed-form monomial of
+    predicted_denominator_restriction.
+    """
+    restricted = _restrict(n, term.denominator)
+    return _decode(n, restricted - _predicted_denominator(n, term.index))
+
+
+def term_residual(n: int, term) -> Polynomial:
+    """restrict(numerator) minus restrict(denominator) times the column sum.
+
+    Zero iff the term restricts to the predicted sum of torus coordinates;
+    nonzero residuals are returned for diagnosis.
+    """
+    residual = _restrict(n, term.numerator) - _restrict(
+        n, term.denominator
+    ) * _column_sum(n, term.index)
+    return _decode(n, residual)
 
 
 def term_restriction_residual(n: int, i: int) -> Polynomial:
-    """restrict(numerator) minus restrict(denominator) times the column sum.
-
-    Zero iff the i-th term restricts to the predicted sum of torus
-    coordinates; nonzero residuals are returned for diagnosis.
-    """
-    term = potential_term(n, i)
-    return restrict_polynomial(n, term.numerator) - restrict_polynomial(
-        n, term.denominator
-    ) * term_restriction_factor(n, i)
+    """term_residual of the i-th superpotential term."""
+    return term_residual(n, potential_term(n, i))
 
 
 def verify_term_restriction(n: int, i: int) -> bool:
@@ -166,12 +327,21 @@ def verify_term_restriction(n: int, i: int) -> bool:
     return not term_restriction_residual(n, i)
 
 
+def _coordinate_sum(n: int) -> _Packed:
+    return _Packed({_position_bit(t): 1 for t in range(len(reduced_word(n)))}, 1)
+
+
 def coordinate_sum(n: int) -> Polynomial:
     """The sum of all torus coordinates a[label, column]."""
-    total = Polynomial.zero()
-    for label, col in reduced_word(n):
-        total = total + Polynomial.variable(torus_var(label, col))
-    return total
+    return _decode(n, _coordinate_sum(n))
+
+
+def _laurent_potential(n: int) -> tuple[_Packed, _Packed]:
+    check_rank(n)
+    table = restrict_all(n)
+    full = table[staircase(n)]
+    quantum_numerator = _Q * table[staircase_prefix(n, n - 2)]
+    return _coordinate_sum(n) * full + quantum_numerator, full
 
 
 def laurent_potential(n: int) -> RationalExpression:
@@ -182,31 +352,44 @@ def laurent_potential(n: int) -> RationalExpression:
     over the full staircase monomial, so the whole expression is a Laurent
     polynomial in the torus coordinates.
     """
-    check_rank(n)
-    full = restrict_plucker(n, staircase(n))
-    quantum_numerator = Polynomial.variable(QUANTUM) * restrict_plucker(
-        n, staircase_prefix(n, n - 2)
-    )
-    return RationalExpression(coordinate_sum(n) * full + quantum_numerator, full)
+    numerator, denominator = _laurent_potential(n)
+    return RationalExpression(_decode(n, numerator), _decode(n, denominator))
+
+
+def _restricted_term_sum(n: int, terms) -> tuple[_Packed, _Packed]:
+    """Unreduced sum of the restricted quotients, as RationalExpression adds."""
+    numerator, denominator = _ZERO, _ONE
+    for term in terms:
+        term_numerator = _restrict(n, term.numerator)
+        term_denominator = _restrict(n, term.denominator)
+        numerator = numerator * term_denominator + term_numerator * denominator
+        denominator = denominator * term_denominator
+    return numerator, denominator
 
 
 def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
     check_rank(n)
-    total = RationalExpression(Polynomial.zero(), Polynomial.one())
-    for term in superpotential(n):
-        total = total + RationalExpression(
-            restrict_polynomial(n, term.numerator),
-            restrict_polynomial(n, term.denominator),
-        )
-    return total
+    numerator, denominator = _restricted_term_sum(n, superpotential(n))
+    return RationalExpression(_decode(n, numerator), _decode(n, denominator))
+
+
+def laurent_assembly_holds(n: int, terms) -> bool:
+    """True iff the restricted terms add up to laurent_potential(n).
+
+    Decided by exact cross-multiplication of the two unreduced quotients.
+    """
+    numerator, denominator = _restricted_term_sum(n, terms)
+    laurent_numerator, laurent_denominator = _laurent_potential(n)
+    return numerator * laurent_denominator == laurent_numerator * denominator
 
 
 def monomial_box_counts_hold(n: int) -> bool:
     """Every restriction monomial uses exactly one coordinate per box added."""
-    for rows, poly in restrict_all(n).items():
+    count = 1 + len(reduced_word(n))
+    for rows, packed in restrict_all(n).items():
         target = box_count(rows)
-        for mono, coeff in poly.sorted_terms():
-            if coeff < 1 or sum(exp for _, exp in mono) != target:
+        for key, coeff in packed.terms.items():
+            if coeff < 1 or sum(_fields(key, count)) != target:
                 return False
     return True

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from _bruteforce import enumerate_restrictions
+from _polynomial_reference import (
+    reference_laurent,
+    reference_restrict,
+    reference_restrict_all,
+    reference_term_sum,
+)
 from ogmirror.diagrams import all_diagrams, box_count, box_label, staircase
 from ogmirror.polynomials import (
     QUANTUM,
@@ -11,12 +18,17 @@ from ogmirror.polynomials import (
 )
 from ogmirror.potential import potential_term, superpotential
 from ogmirror.torus import (
+    _FIELD_MAX,
+    _Packed,
+    _Q,
+    _decode,
     coordinate_sum,
     label_columns,
     laurent_potential,
     monomial_box_counts_hold,
     predicted_denominator_restriction,
     reduced_word,
+    restrict_all,
     restrict_plucker,
     restrict_polynomial,
     restricted_term_sum,
@@ -215,8 +227,85 @@ def test_staircase_restriction_is_squarefree_monomial(n):
     assert len(mono) == n * (n + 1) // 2
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_path_sum_matches_bruteforce_small(n):
     oracle = enumerate_restrictions(n)
     for rows in all_diagrams(n):
         assert restrict_plucker(n, rows) == oracle[rows]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_packed_restrictions_decode_to_polynomial_reference(n):
+    table = reference_restrict_all(n)
+    assert set(restrict_all(n)) == set(table)
+    for rows, expected in table.items():
+        assert restrict_plucker(n, rows).sorted_terms() == expected.sorted_terms()
+    for term in superpotential(n):
+        for poly in (term.numerator, term.denominator):
+            assert restrict_polynomial(n, poly).sorted_terms() == (
+                reference_restrict(n, table, poly).sorted_terms()
+            )
+    for packed, expected in (
+        (restricted_term_sum(n), reference_term_sum(n, table)),
+        (laurent_potential(n), reference_laurent(n, table)),
+    ):
+        assert packed.numerator.sorted_terms() == expected.numerator.sorted_terms()
+        assert packed.denominator.sorted_terms() == expected.denominator.sorted_terms()
+
+
+def test_packed_product_refuses_field_overflow():
+    # q^a * q^b lands in field 0; a + b past the field width must raise, not
+    # carry into the field of the first word position.
+    assert (_Packed({30000: 1}, 30000) * _Packed({35535: 1}, 35535)).terms == {
+        _FIELD_MAX: 1
+    }
+    with pytest.raises(OverflowError):
+        _Packed({40000: 1}, 40000) * _Packed({40000: 1}, 40000)
+    with pytest.raises(OverflowError):
+        _Packed({_FIELD_MAX: 1}, _FIELD_MAX) * _Q
+    # the bound, not the actual exponents, decides: a degree-bounded product
+    # refuses even when its terms would fit
+    with pytest.raises(OverflowError):
+        _Packed({1: 1}, 40000) * _Packed({1: 1}, 40000)
+    # through the public path: p[1,0]^(2^16) restricts to a[3,1]^(2^16)
+    with pytest.raises(OverflowError):
+        restrict_polynomial(2, Polynomial.variable(plucker_var((1, 0)), _FIELD_MAX + 1))
+    assert restrict_polynomial(
+        2, Polynomial.variable(plucker_var((1, 0)), _FIELD_MAX)
+    ) == Polynomial.variable(torus_var(3, 1), _FIELD_MAX)
+
+
+def test_packed_restrictions_carry_box_count_degree():
+    for rows, packed in restrict_all(5).items():
+        assert packed.degree == box_count(rows)
+        assert packed.term_count() == restrict_plucker(5, rows).term_count()
+
+
+# Packed polynomials in q and the six rank-3 coordinates: field exponents
+# 0..3, so cancellations and repeated factors both occur.
+_RANK3_FIELDS = 1 + len(reduced_word(3))
+_packed = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * _RANK3_FIELDS),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
+).map(
+    lambda terms: _Packed(
+        {
+            sum(exp << 16 * field for field, exp in enumerate(exps)): coeff
+            for exps, coeff in terms.items()
+        },
+        max(map(sum, terms), default=0),
+    )
+)
+
+
+@given(_packed, _packed)
+def test_packed_arithmetic_matches_polynomial(x, y):
+    for packed, expected in (
+        (x * y, _decode(3, x) * _decode(3, y)),
+        (x + y, _decode(3, x) + _decode(3, y)),
+        (x - y, _decode(3, x) - _decode(3, y)),
+    ):
+        assert 0 not in packed.terms.values()
+        assert _decode(3, packed) == expected
+    assert (x - y) * (x + y) == x * x - y * y
