@@ -134,7 +134,15 @@ def test_substitute_is_homomorphism():
 def test_text_rendering_signs_and_exponents():
     poly = a(5, 1) ** 2 * a(3, 1) - 3 * a(2, 1) - 1
     assert poly.to_text() == "−1 − 3*a[2,1] + a[3,1]*a[5,1]^2"
+    assert poly.to_latex() == "-1 - 3 a_{2,1} + a_{3,1} a_{5,1}^{2}"
+    assert poly.to_json_terms() == [
+        {"coefficient": -1, "exponents": {}},
+        {"coefficient": -3, "exponents": {"a[2,1]": 1}},
+        {"coefficient": 1, "exponents": {"a[3,1]": 1, "a[5,1]": 2}},
+    ]
     assert Polynomial.zero().to_text() == "0"
+    assert Polynomial.zero().to_latex() == "0"
+    assert Polynomial.zero().to_json_terms() == []
 
 
 def test_json_terms_round_trip_through_json():
