@@ -257,58 +257,44 @@ class Polynomial:
             total = total + piece
         return total
 
-    def to_text(self) -> str:
-        """Canonical text form, terms joined by " + " / " − "."""
+    def _render(self, namer, times: str, power: str, minus: str) -> str:
+        """Terms in canonical order, signs between them, each variable named once.
+
+        ``times`` joins the coefficient and the factors, ``power`` formats a
+        name and an exponent above 1, and ``minus`` is the minus sign.
+        """
         if not self._terms:
             return "0"
+        names = {var: namer(var) for var in self.variables()}
         chunks = []
         for mono, coeff in self.sorted_terms():
-            body = "*".join(
-                variable_name(var) if exp == 1 else f"{variable_name(var)}^{exp}"
+            factors = [
+                names[var] if exp == 1 else power.format(names[var], exp)
                 for var, exp in mono
-            )
+            ]
             magnitude = abs(coeff)
-            if not body:
-                text = str(magnitude)
-            elif magnitude == 1:
-                text = body
+            if magnitude != 1 or not factors:
+                factors.insert(0, str(magnitude))
+            if coeff > 0:
+                chunks.append(" + " if chunks else "")
             else:
-                text = f"{magnitude}*{body}"
-            if not chunks:
-                chunks.append(text if coeff > 0 else "−" + text)
-            else:
-                chunks.append((" + " if coeff > 0 else " − ") + text)
+                chunks.append(f" {minus} " if chunks else minus)
+            chunks.append(times.join(factors))
         return "".join(chunks)
 
+    def to_text(self) -> str:
+        """Canonical text form, terms joined by " + " / " − "."""
+        return self._render(variable_name, "*", "{}^{}", "−")
+
     def to_latex(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono, coeff in self.sorted_terms():
-            body = " ".join(
-                variable_latex(var) if exp == 1 else f"{variable_latex(var)}^{{{exp}}}"
-                for var, exp in mono
-            )
-            magnitude = abs(coeff)
-            if not body:
-                text = str(magnitude)
-            elif magnitude == 1:
-                text = body
-            else:
-                text = f"{magnitude} {body}"
-            if not chunks:
-                chunks.append(text if coeff > 0 else "-" + text)
-            else:
-                chunks.append((" + " if coeff > 0 else " - ") + text)
-        return "".join(chunks)
+        """LaTeX form, factors joined by spaces."""
+        return self._render(variable_latex, " ", "{}^{{{}}}", "-")
 
     def to_json_terms(self) -> list[dict]:
         """JSON form: one {coefficient, exponents} record per term."""
+        names = {var: variable_name(var) for var in self.variables()}
         return [
-            {
-                "coefficient": coeff,
-                "exponents": {variable_name(var): exp for var, exp in mono},
-            }
+            {"coefficient": coeff, "exponents": {names[var]: exp for var, exp in mono}}
             for mono, coeff in self.sorted_terms()
         ]
 
