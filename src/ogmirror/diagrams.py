@@ -123,7 +123,8 @@ def addable_positions(n: int, rows, label: int) -> list[LabeledBox]:
 
     Only the cell just past the end of a row can qualify (anything further
     right would leave an empty space to its left), so each row is probed at
-    column c_r + 1.
+    column c_r + 1.  Growing row r only constrains the row above it (the
+    rule of is_valid); the row below only gains room.
     """
     rows = diagram(n, rows)
     _check_label(n, label)
@@ -132,7 +133,7 @@ def addable_positions(n: int, rows, label: int) -> list[LabeledBox]:
         c = rows[r - 1] + 1
         if c > r or box_label(n, r, c) != label:
             continue
-        if is_valid(n, rows[: r - 1] + (c,) + rows[r:]):
+        if r == 1 or rows[r - 2] >= min(c, r - 1):
             found.append(LabeledBox(r, c, label))
     return found
 

@@ -204,6 +204,21 @@ def test_at_most_one_position_per_label(n):
             assert len(removable_positions(n, rows, label)) <= 1
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_addable_positions_match_is_valid(n):
+    """The local addable rule agrees with re-validating the grown diagram."""
+    for rows in all_diagrams(n):
+        for label in range(1, n + 2):
+            expected = [
+                LabeledBox(r, rows[r - 1] + 1, label)
+                for r in range(1, n + 1)
+                if rows[r - 1] < r
+                and box_label(n, r, rows[r - 1] + 1) == label
+                and is_valid(n, rows[: r - 1] + (rows[r - 1] + 1,) + rows[r:])
+            ]
+            assert addable_positions(n, rows, label) == expected
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_add_then_remove_roundtrip(n):
     for rows in all_diagrams(n):
