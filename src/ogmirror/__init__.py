@@ -46,8 +46,6 @@ from .potential import (
     superpotential,
 )
 from .torus import (
-    denominator_residual,
-    laurent_assembly_holds,
     laurent_potential,
     predicted_denominator_restriction,
     reduced_word,
@@ -55,8 +53,8 @@ from .torus import (
     restrict_plucker,
     restrict_polynomial,
     restricted_term_sum,
+    restriction_residuals,
     term_restriction_factor,
-    term_residual,
     term_restriction_residual,
     verify_term_restriction,
 )

@@ -5,7 +5,9 @@ run_checks executes the whole battery and returns flat records that the CLI
 renders as text or JSON.  Everything here is recomputed from scratch
 through the public construction functions, so a passing battery really does
 exercise the box calculus, the pair recursion, the derivation and the
-path-sum restriction together.
+path-sum restriction together.  The three restriction checks share one
+pass: torus.restriction_residuals restricts each term's numerator and
+denominator once, and the checks are built from its results.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from .potential import (
     numerator_pair_levels,
     superpotential,
 )
-from .torus import denominator_residual, laurent_assembly_holds, term_residual
+from .torus import restriction_residuals
 
 # Failure details name a residual's size and only its leading terms.
 DETAIL_TERMS = 3
@@ -115,26 +117,23 @@ def _residual_detail(residual: Polynomial) -> str:
     )
 
 
-def _denominator_restriction(n, term):
-    residual = denominator_residual(n, term)
+def _denominator_restriction(n, index, residual):
     ok = not residual
     return CheckResult(
-        "denominator_restriction", n, term.index, ok,
+        "denominator_restriction", n, index, ok,
         "" if ok else _residual_detail(residual),
     )
 
 
-def _term_restriction(n, term):
-    residual = term_residual(n, term)
+def _term_restriction(n, index, residual):
     ok = not residual
     return CheckResult(
-        "term_restriction", n, term.index, ok, "" if ok else _residual_detail(residual)
+        "term_restriction", n, index, ok, "" if ok else _residual_detail(residual)
     )
 
 
-def _laurent_assembly(n, terms):
-    ok = laurent_assembly_holds(n, terms)
-    return CheckResult("laurent_assembly", n, None, ok)
+def _laurent_assembly(n, holds):
+    return CheckResult("laurent_assembly", n, None, holds)
 
 
 def run_checks(n: int) -> list[CheckResult]:
@@ -155,7 +154,14 @@ def run_checks(n: int) -> list[CheckResult]:
 
 def restriction_checks(n: int, terms) -> list[CheckResult]:
     """The torus-restriction checks of the battery, run on the given terms."""
-    results = [_denominator_restriction(n, term) for term in terms]
-    results += [_term_restriction(n, term) for term in terms[: n + 1]]
-    results.append(_laurent_assembly(n, terms))
+    denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
+    results = [
+        _denominator_restriction(n, term.index, residual)
+        for term, residual in zip(terms, denominator_residuals)
+    ]
+    results += [
+        _term_restriction(n, term.index, residual)
+        for term, residual in zip(terms, term_residuals)
+    ]
+    results.append(_laurent_assembly(n, holds))
     return results

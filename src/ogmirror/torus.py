@@ -21,6 +21,11 @@ bound would exceed 2^16 - 1 raises OverflowError instead of carrying one
 field into the next.  Results are decoded to Polynomial only where they
 leave this module, and equality is still decided by exact
 cross-multiplication.
+
+One pass per term.  restriction_residuals checks every restriction
+identity of a list of terms: each term's numerator and denominator are
+restricted exactly once, and those packed pairs feed the denominator
+residuals, the term residuals and the Laurent assembly alike.
 """
 
 import sys
@@ -295,31 +300,17 @@ def term_restriction_factor(n: int, i: int) -> Polynomial:
     return _decode(n, _column_sum(n, i))
 
 
-def denominator_residual(n: int, term) -> Polynomial:
-    """restrict(denominator) minus its predicted monomial, for one term.
-
-    Zero iff the term's denominator restricts to the closed-form monomial of
-    predicted_denominator_restriction.
-    """
-    restricted = _restrict(n, term.denominator)
-    return _decode(n, restricted - _predicted_denominator(n, term.index))
-
-
-def term_residual(n: int, term) -> Polynomial:
-    """restrict(numerator) minus restrict(denominator) times the column sum.
-
-    Zero iff the term restricts to the predicted sum of torus coordinates;
-    nonzero residuals are returned for diagnosis.
-    """
-    residual = _restrict(n, term.numerator) - _restrict(
-        n, term.denominator
-    ) * _column_sum(n, term.index)
-    return _decode(n, residual)
+def _restricted_pairs(n: int, terms) -> list[tuple[_Packed, _Packed]]:
+    """Packed restricted (numerator, denominator) of each term, one pass each."""
+    return [
+        (_restrict(n, term.numerator), _restrict(n, term.denominator)) for term in terms
+    ]
 
 
 def term_restriction_residual(n: int, i: int) -> Polynomial:
-    """term_residual of the i-th superpotential term."""
-    return term_residual(n, potential_term(n, i))
+    """Term residual of the i-th superpotential term (see restriction_residuals)."""
+    ((numerator, denominator),) = _restricted_pairs(n, [potential_term(n, i)])
+    return _decode(n, numerator - denominator * _column_sum(n, i))
 
 
 def verify_term_restriction(n: int, i: int) -> bool:
@@ -356,12 +347,10 @@ def laurent_potential(n: int) -> RationalExpression:
     return RationalExpression(_decode(n, numerator), _decode(n, denominator))
 
 
-def _restricted_term_sum(n: int, terms) -> tuple[_Packed, _Packed]:
-    """Unreduced sum of the restricted quotients, as RationalExpression adds."""
+def _restricted_term_sum(pairs) -> tuple[_Packed, _Packed]:
+    """Unreduced sum of restricted quotients, as RationalExpression adds."""
     numerator, denominator = _ZERO, _ONE
-    for term in terms:
-        term_numerator = _restrict(n, term.numerator)
-        term_denominator = _restrict(n, term.denominator)
+    for term_numerator, term_denominator in pairs:
         numerator = numerator * term_denominator + term_numerator * denominator
         denominator = denominator * term_denominator
     return numerator, denominator
@@ -370,18 +359,36 @@ def _restricted_term_sum(n: int, terms) -> tuple[_Packed, _Packed]:
 def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
     check_rank(n)
-    numerator, denominator = _restricted_term_sum(n, superpotential(n))
+    pairs = _restricted_pairs(n, superpotential(n))
+    numerator, denominator = _restricted_term_sum(pairs)
     return RationalExpression(_decode(n, numerator), _decode(n, denominator))
 
 
-def laurent_assembly_holds(n: int, terms) -> bool:
-    """True iff the restricted terms add up to laurent_potential(n).
+def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
+    """Every torus-restriction identity of the given terms, restricting each once.
 
-    Decided by exact cross-multiplication of the two unreduced quotients.
+    Returns three things.  The denominator residuals, one per term:
+    restrict(denominator) minus the closed-form monomial of
+    predicted_denominator_restriction.  The term residuals, one per term of
+    index i <= n: restrict(numerator) minus restrict(denominator) times
+    term_restriction_factor.  And whether the restricted terms add up to
+    laurent_potential(n), decided by exact cross-multiplication of the two
+    unreduced quotients.  A residual is zero iff its identity holds; nonzero
+    ones are returned for diagnosis.
     """
-    numerator, denominator = _restricted_term_sum(n, terms)
+    pairs = _restricted_pairs(n, terms)
+    denominator_residuals = [
+        _decode(n, denominator - _predicted_denominator(n, term.index))
+        for term, (_, denominator) in zip(terms, pairs)
+    ]
+    term_residuals = [
+        _decode(n, numerator - denominator * _column_sum(n, term.index))
+        for term, (numerator, denominator) in zip(terms[: n + 1], pairs)
+    ]
+    numerator, denominator = _restricted_term_sum(pairs)
     laurent_numerator, laurent_denominator = _laurent_potential(n)
-    return numerator * laurent_denominator == laurent_numerator * denominator
+    holds = numerator * laurent_denominator == laurent_numerator * denominator
+    return denominator_residuals, term_residuals, holds
 
 
 def monomial_box_counts_hold(n: int) -> bool:

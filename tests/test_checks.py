@@ -9,16 +9,17 @@ import dataclasses
 
 import pytest
 
+from ogmirror import torus
 from ogmirror.checks import DETAIL_TERMS, restriction_checks, run_checks
 from ogmirror.diagrams import all_diagrams
 from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var
-from ogmirror.potential import superpotential
-from ogmirror.torus import (
-    denominator_residual,
-    laurent_assembly_holds,
-    restrict_plucker,
-    term_residual,
+from ogmirror.potential import (
+    box_derivation,
+    denominator_pair_levels,
+    signed_pair_sum,
+    superpotential,
 )
+from ogmirror.torus import restrict_plucker, restriction_residuals
 
 
 def _leading(poly):
@@ -56,22 +57,62 @@ def quantum_on_wrong_term(n):
     return terms, {("term_restriction", 0), ("laurent_assembly", None)}
 
 
-CONTROLS = (flipped_numerator_sign, dropped_denominator_pair, quantum_on_wrong_term)
+def flipped_level_sign(n):
+    """The last middle denominator with the sign of its level 1 flipped."""
+    terms = superpotential(n)
+    i = n - 1
+    levels = denominator_pair_levels(n, i)
+    level_1 = signed_pair_sum(levels[:2]) - signed_pair_sum(levels[:1])
+    term = terms[i]
+    terms[i] = dataclasses.replace(term, denominator=term.denominator - 2 * level_1)
+    return terms, {
+        ("denominator_restriction", i),
+        ("term_restriction", i),
+        ("laurent_assembly", None),
+    }
+
+
+def wrong_derivation_label(n):
+    """Term 2's numerator derived with term 3's label (which annihilates it)."""
+    terms = superpotential(n)
+    term = terms[2]
+    numerator = box_derivation(n, 3, term.denominator)
+    terms[2] = dataclasses.replace(term, numerator=numerator)
+    return terms, {("term_restriction", 2), ("laurent_assembly", None)}
+
+
+CONTROLS = (
+    flipped_numerator_sign,
+    dropped_denominator_pair,
+    quantum_on_wrong_term,
+    flipped_level_sign,
+    wrong_derivation_label,
+)
 
 
 def _failures(results):
     return {(result.name, result.index) for result in results if not result.passed}
 
 
+def _nonzero_residuals(n, terms):
+    """The failing checks as read off restriction_residuals directly."""
+    denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
+    assert len(denominator_residuals) == n + 2
+    assert len(term_residuals) == n + 1
+    failing = {("laurent_assembly", None)} if not holds else set()
+    for name, residuals in (
+        ("denominator_restriction", denominator_residuals),
+        ("term_restriction", term_residuals),
+    ):
+        failing |= {(name, i) for i, residual in enumerate(residuals) if residual}
+    return failing
+
+
 @pytest.mark.parametrize("n", (3, 4, 6))
 def test_intact_potential_passes_restriction_checks(n):
     terms = superpotential(n)
     assert not _failures(restriction_checks(n, terms))
-    assert laurent_assembly_holds(n, terms)
-    for term in terms:
-        assert not denominator_residual(n, term)
-    for term in terms[: n + 1]:
-        assert not term_residual(n, term)
+    assert not _nonzero_residuals(n, terms)
 
 
 @pytest.mark.parametrize("control", CONTROLS, ids=lambda control: control.__name__)
@@ -79,12 +120,21 @@ def test_intact_potential_passes_restriction_checks(n):
 def test_broken_potential_fails_named_checks(n, control):
     terms, expected = control(n)
     assert _failures(restriction_checks(n, terms)) == expected
-    assert not laurent_assembly_holds(n, terms)
-    for name, index in expected:
-        if name == "term_restriction":
-            assert term_residual(n, terms[index])
-        elif name == "denominator_restriction":
-            assert denominator_residual(n, terms[index])
+    assert _nonzero_residuals(n, terms) == expected
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_each_term_is_restricted_once(n, monkeypatch):
+    calls = []
+    restrict = torus._restrict
+
+    def counting_restrict(rank, poly):
+        calls.append(poly)
+        return restrict(rank, poly)
+
+    monkeypatch.setattr(torus, "_restrict", counting_restrict)
+    restriction_checks(n, superpotential(n))
+    assert len(calls) == 2 * (n + 2)
 
 
 def _detail_terms(detail):
@@ -106,9 +156,10 @@ def test_failure_detail_is_bounded():
     results = {
         (result.name, result.index): result for result in restriction_checks(n, terms)
     }
+    denominator_residuals, term_residuals, _ = restriction_residuals(n, terms)
     for name, residual in (
-        ("denominator_restriction", denominator_residual(n, terms[2])),
-        ("term_restriction", term_residual(n, terms[2])),
+        ("denominator_restriction", denominator_residuals[2]),
+        ("term_restriction", term_residuals[2]),
     ):
         result = results[name, 2]
         count = residual.term_count()

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from ogmirror.cli import main
+from test_checks import flipped_level_sign
 
 
 @pytest.fixture()
@@ -142,6 +143,22 @@ def test_verify_reports_failures_with_exit_code_1(runner, monkeypatch):
     assert "CHECK term_restriction n=4 i=1 FAIL" in result.output
     assert "FAILED 1 checks" in result.output
     assert "residual q" in result.stderr
+
+
+def test_verify_fails_on_a_broken_potential(runner, monkeypatch):
+    terms, _ = flipped_level_sign(4)
+    monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))
+    result = runner.invoke(main, ["verify", "--n", "4"])
+    assert result.exit_code == 1
+    failing = [line for line in result.output.splitlines() if line.endswith(" FAIL")]
+    assert failing == [
+        "CHECK derivation_identity n=4 i=3 FAIL",
+        "CHECK denominator_restriction n=4 i=3 FAIL",
+        "CHECK term_restriction n=4 i=3 FAIL",
+        "CHECK laurent_assembly n=4 i=- FAIL",
+    ]
+    assert "FAILED 4 checks" in result.output
+    assert "VERIFIED" not in result.output
 
 
 def test_verify_usage_errors(runner):
