@@ -5,9 +5,8 @@ run_checks executes the whole battery and returns flat records that the CLI
 renders as text or JSON.  Everything here is recomputed from scratch
 through the public construction functions, so a passing battery really does
 exercise the box calculus, the pair recursion, the derivation and the
-path-sum restriction together.  The three restriction checks share one
-pass: torus.restriction_residuals restricts each term's numerator and
-denominator once, and the checks are built from its results.
+path-sum restriction together.  The three restriction checks are built
+from one torus.restriction_residuals pass, which restricts each term once.
 """
 
 from dataclasses import dataclass

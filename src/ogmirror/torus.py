@@ -22,10 +22,8 @@ field into the next.  Results are decoded to Polynomial only where they
 leave this module, and equality is still decided by exact
 cross-multiplication.
 
-One pass per term.  restriction_residuals checks every restriction
-identity of a list of terms: each term's numerator and denominator are
-restricted exactly once, and those packed pairs feed the denominator
-residuals, the term residuals and the Laurent assembly alike.
+restriction_residuals restricts each term's numerator and denominator
+once and decides every restriction identity from those packed pairs.
 """
 
 import sys
@@ -365,16 +363,14 @@ def restricted_term_sum(n: int) -> RationalExpression:
 
 
 def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
-    """Every torus-restriction identity of the given terms, restricting each once.
+    """The restriction identities of the terms, restricting each term once.
 
-    Returns three things.  The denominator residuals, one per term:
-    restrict(denominator) minus the closed-form monomial of
-    predicted_denominator_restriction.  The term residuals, one per term of
-    index i <= n: restrict(numerator) minus restrict(denominator) times
-    term_restriction_factor.  And whether the restricted terms add up to
-    laurent_potential(n), decided by exact cross-multiplication of the two
-    unreduced quotients.  A residual is zero iff its identity holds; nonzero
-    ones are returned for diagnosis.
+    Returns (denominator residuals, term residuals, Laurent verdict): per
+    term, restrict(denominator) minus predicted_denominator_restriction;
+    per term of index i <= n, restrict(numerator) minus restrict(denominator)
+    times term_restriction_factor; and whether the restricted terms add up
+    to laurent_potential(n) by exact cross-multiplication.  A residual is
+    zero iff its identity holds.
     """
     pairs = _restricted_pairs(n, terms)
     denominator_residuals = [

@@ -73,7 +73,7 @@ def flipped_level_sign(n):
 
 
 def wrong_derivation_label(n):
-    """Term 2's numerator derived with term 3's label (which annihilates it)."""
+    """Term 2's numerator derived with term 3's label, which no factor accepts."""
     terms = superpotential(n)
     term = terms[2]
     numerator = box_derivation(n, 3, term.denominator)
