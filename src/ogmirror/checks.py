@@ -9,16 +9,17 @@ path-sum restriction together.  The three restriction checks are built
 from one torus.restriction_residuals pass, which restricts each term once.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagrams import (
-    addable_positions,
+    _addable_cells,
+    _removable_cells,
     add_unique_box,
     all_diagrams,
     box_count,
     check_rank,
     full_columns,
-    removable_positions,
     staircase_prefix,
 )
 from .polynomials import Polynomial
@@ -55,11 +56,10 @@ def _diagram_count(n):
 def _unique_positions(n):
     bad = []
     for rows in all_diagrams(n):
-        for label in range(1, n + 2):
-            if len(addable_positions(n, rows, label)) > 1:
-                bad.append(("addable", rows, label))
-            if len(removable_positions(n, rows, label)) > 1:
-                bad.append(("removable", rows, label))
+        fits = Counter([(cell.label, "addable") for cell in _addable_cells(n, rows)])
+        fits.update((cell.label, "removable") for cell in _removable_cells(n, rows))
+        repeated = sorted(key for key, count in fits.items() if count > 1)
+        bad += [(kind, rows, label) for label, kind in repeated]
     return CheckResult(
         "unique_positions", n, None, not bad, f"violations: {bad}" if bad else ""
     )

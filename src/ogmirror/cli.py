@@ -147,13 +147,11 @@ def verify(n, start, stop, fmt):
 @click.option("--format", "fmt", type=click.Choice(["dot"]), default="dot")
 def hasse(n, fmt):
     """Emit the diagram poset as a DOT graph, edges labeled by added boxes."""
+    names = {rows: format_diagram(rows) for rows in all_diagrams(n)}
     lines = ["digraph hasse {"]
-    for rows in all_diagrams(n):
-        lines.append(f'  "{format_diagram(rows)}";')
+    lines += [f'  "{name}";' for name in names.values()]
     for lower, upper, label in hasse_edges(n):
-        lines.append(
-            f'  "{format_diagram(lower)}" -> "{format_diagram(upper)}" [label={label}];'
-        )
+        lines.append(f'  "{names[lower]}" -> "{names[upper]}" [label={label}];')
     lines.append("}")
     click.echo("\n".join(lines))
 

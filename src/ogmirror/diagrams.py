@@ -9,9 +9,11 @@ its left inside the staircase ("no empty spaces above or to the left").
 Each staircase cell carries a fixed label: 1 in the bottom-left corner,
 constant along the diagonals running up-right, and alternating n+1 / n on
 the main diagonal starting with n+1 at the top.  Boxes are added, removed
-and moved between diagrams by these labels; for any diagram and label there
-is at most one position where the label fits, which is enforced, not
-assumed.
+and moved between diagrams by these labels.  One scan of a diagram lists
+all its addable cells and another all its removable cells, labelled from a
+table built once per rank.  For any diagram and label there is at most one
+position where the label fits; this is enforced, not assumed: wherever
+cells are indexed by label, a label that fits twice raises StructuralError.
 """
 
 from functools import lru_cache
@@ -58,22 +60,20 @@ def is_valid(n: int, rows) -> bool:
     rows = tuple(rows)
     if len(rows) > n:
         return False
-    rows = rows + (0,) * (n - len(rows))
-    for r in range(1, n + 1):
-        c = rows[r - 1]
-        if c < 0 or c > r:
-            return False
+    above = 0
+    for r, c in enumerate(rows, 1):
         # box (r, c) needs box (r-1, c) unless it sits on the diagonal
-        if r >= 2 and rows[r - 2] < min(c, r - 1):
+        if not 0 <= c <= r or (c > above and above < r - 1):
             return False
+        above = c
     return True
 
 
 def diagram(n: int, rows) -> Diagram:
     """Canonicalize ``rows`` to the full-length vector, checking validity."""
-    if not is_valid(n, rows):
-        raise ValueError(f"not a valid diagram for rank {n}: {tuple(rows)}")
     rows = tuple(rows)
+    if not is_valid(n, rows):
+        raise ValueError(f"not a valid diagram for rank {n}: {rows}")
     return rows + (0,) * (n - len(rows))
 
 
@@ -81,14 +81,22 @@ def box_count(rows) -> int:
     return sum(rows)
 
 
+@lru_cache(maxsize=None)
+def _label_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Labels of the staircase cells: entry [r-1][c-1] labels row r, column c."""
+    check_rank(n)
+    return tuple(
+        tuple(n - r + c for c in range(1, r)) + (n + 1 if r % 2 == 1 else n,)
+        for r in range(1, n + 1)
+    )
+
+
 def box_label(n: int, r: int, c: int) -> int:
     """Label of the staircase cell in row r, column c (both 1-based)."""
     check_rank(n)
     if not 1 <= c <= r <= n:
         raise ValueError(f"cell ({r}, {c}) is outside the rank-{n} staircase")
-    if c < r:
-        return n - r + c
-    return n + 1 if r % 2 == 1 else n
+    return _label_table(n)[r - 1][c - 1]
 
 
 def staircase(n: int) -> Diagram:
@@ -118,85 +126,91 @@ def _check_label(n: int, label: int) -> None:
         raise ValueError(f"label {label} outside 1..{n + 1}")
 
 
-def addable_positions(n: int, rows, label: int) -> list[LabeledBox]:
-    """Open cells with this label where adding a box keeps the diagram valid.
+def _addable_cells(n: int, rows: Diagram) -> list[LabeledBox]:
+    """Every cell of a valid diagram where a box can be added, top row first.
 
     Only the cell just past the end of a row can qualify (anything further
-    right would leave an empty space to its left), so each row is probed at
-    column c_r + 1.  Growing row r only constrains the row above it (the
-    rule of is_valid); the row below only gains room.
+    right would leave an empty space to its left).  Growing row r only
+    constrains the row above it (the rule of is_valid): that row must be
+    longer, or full; the row below only gains room.
     """
+    labels = _label_table(n)
+    return [
+        LabeledBox(r, c + 1, labels[r - 1][c])
+        for r, (above, c) in enumerate(zip((0,) + rows, rows), 1)
+        if c < r and (above > c or above == r - 1)
+    ]
+
+
+def _removable_cells(n: int, rows: Diagram) -> list[LabeledBox]:
+    """Every box of a valid diagram with nothing to its right nor below it."""
+    labels = _label_table(n)
+    return [
+        LabeledBox(r, c, labels[r - 1][c - 1])
+        for r, (c, below) in enumerate(zip(rows, rows[1:] + (0,)), 1)
+        if below < c
+    ]
+
+
+def _by_label(rows: Diagram, cells, shift: int, kind: str) -> dict[int, Diagram]:
+    """Map each cell's label to rows with the cell's row set to its column + shift."""
+    moved = {}
+    for r, c, label in cells:
+        if label in moved:
+            raise StructuralError(f"label {label} is {kind} twice in {rows}")
+        moved[label] = rows[: r - 1] + (c + shift,) + rows[r:]
+    return moved
+
+
+def _grown(n: int, rows: Diagram) -> dict[int, Diagram]:
+    """Label -> the valid diagram with one box of that label added."""
+    return _by_label(rows, _addable_cells(n, rows), 0, "addable")
+
+
+def _shrunk(n: int, rows: Diagram) -> dict[int, Diagram]:
+    """Label -> the valid diagram with one box of that label removed."""
+    return _by_label(rows, _removable_cells(n, rows), -1, "removable")
+
+
+def addable_positions(n: int, rows, label: int) -> list[LabeledBox]:
+    """Open cells with this label where adding a box keeps the diagram valid."""
     rows = diagram(n, rows)
     _check_label(n, label)
-    found = []
-    for r in range(1, n + 1):
-        c = rows[r - 1] + 1
-        if c > r or box_label(n, r, c) != label:
-            continue
-        if r == 1 or rows[r - 2] >= min(c, r - 1):
-            found.append(LabeledBox(r, c, label))
-    return found
+    return [cell for cell in _addable_cells(n, rows) if cell.label == label]
 
 
 def removable_positions(n: int, rows, label: int) -> list[LabeledBox]:
     """Boxes with this label having no box to their right nor below them."""
     rows = diagram(n, rows)
     _check_label(n, label)
-    found = []
-    for r in range(1, n + 1):
-        c = rows[r - 1]
-        if c == 0 or box_label(n, r, c) != label:
-            continue
-        below = rows[r] if r < n else 0
-        if below < c:
-            found.append(LabeledBox(r, c, label))
-    return found
+    return [cell for cell in _removable_cells(n, rows) if cell.label == label]
 
 
 def add_box(n: int, rows, label: int) -> Diagram | None:
     """The diagram with one box of this label added, or None if impossible."""
-    spots = addable_positions(n, rows, label)
-    if len(spots) > 1:
-        raise StructuralError(
-            f"label {label} addable at {len(spots)} positions of {tuple(rows)}"
-        )
-    if not spots:
-        return None
-    r, c, _ = spots[0]
     rows = diagram(n, rows)
-    return rows[: r - 1] + (c,) + rows[r:]
+    _check_label(n, label)
+    return _grown(n, rows).get(label)
 
 
 def remove_box(n: int, rows, label: int) -> Diagram | None:
     """The diagram with one box of this label removed, or None if impossible."""
-    spots = removable_positions(n, rows, label)
-    if len(spots) > 1:
-        raise StructuralError(
-            f"label {label} removable at {len(spots)} positions of {tuple(rows)}"
-        )
-    if not spots:
-        return None
-    r, c, _ = spots[0]
     rows = diagram(n, rows)
-    return rows[: r - 1] + (c - 1,) + rows[r:]
+    _check_label(n, label)
+    return _shrunk(n, rows).get(label)
 
 
 def box_moves(n: int, pair: DiagramPair) -> list[DiagramPair]:
     """All pairs reached by moving one box from the first diagram to the second.
 
     A label moves when it is removable from the first component and addable
-    to the second; the direction is strictly first-to-second.
+    to the second; the direction is strictly first-to-second.  Pairs come in
+    ascending label order.
     """
     first, second = pair
-    out = []
-    for label in range(1, n + 2):
-        shrunk = remove_box(n, first, label)
-        if shrunk is None:
-            continue
-        grown = add_box(n, second, label)
-        if grown is not None:
-            out.append((shrunk, grown))
-    return out
+    shrunk = _shrunk(n, diagram(n, first))
+    grown = _grown(n, diagram(n, second))
+    return [(shrunk[label], grown[label]) for label in sorted(shrunk) if label in grown]
 
 
 def add_unique_box(n: int, rows) -> Diagram:
@@ -205,14 +219,11 @@ def add_unique_box(n: int, rows) -> Diagram:
     Raises ValueError unless exactly one label is addable; used for the
     one-box extensions of the full-column and full-row-prefix diagrams.
     """
-    results = []
-    for label in range(1, n + 2):
-        grown = add_box(n, rows, label)
-        if grown is not None:
-            results.append(grown)
+    rows = diagram(n, rows)
+    results = list(_grown(n, rows).values())
     if len(results) != 1:
         raise ValueError(
-            f"{tuple(rows)} admits {len(results)} addable labels, expected exactly 1"
+            f"{rows} admits {len(results)} addable labels, expected exactly 1"
         )
     return results[0]
 
@@ -223,25 +234,28 @@ def all_diagrams(n: int) -> tuple[Diagram, ...]:
     check_rank(n)
     partial = [()]
     for r in range(1, n + 1):
-        grown = []
-        for rows in partial:
-            for c in range(r + 1):
-                if r >= 2 and rows[r - 2] < min(c, r - 1):
-                    continue
-                grown.append(rows + (c,))
-        partial = grown
+        # row r may not outgrow the row above unless that row is full
+        partial = [
+            rows + (c,)
+            for rows in partial
+            for c in range(r + 1 if not rows or rows[-1] == r - 1 else rows[-1] + 1)
+        ]
     return tuple(sorted(partial))
 
 
 @lru_cache(maxsize=None)
 def hasse_edges(n: int) -> tuple[tuple[Diagram, Diagram, int], ...]:
-    """All covering pairs (smaller, larger, label of the added box), sorted."""
-    edges = []
-    for rows in all_diagrams(n):
-        for label in range(1, n + 2):
-            grown = add_box(n, rows, label)
-            if grown is not None:
-                edges.append((rows, grown, label))
+    """All covering pairs (smaller, larger, label of the added box), sorted.
+
+    The larger diagrams are the tuples of all_diagrams, shared, not copied.
+    """
+    diagrams = all_diagrams(n)
+    canonical = {rows: rows for rows in diagrams}
+    edges = [
+        (rows, canonical[grown], label)
+        for rows in diagrams
+        for label, grown in _grown(n, rows).items()
+    ]
     return tuple(sorted(edges))
 
 
@@ -275,4 +289,4 @@ def parse_diagram(n: int, text: str) -> Diagram:
             f"invalid diagram {text!r} for rank {n}: every box needs filled"
             f" cells above and to its left"
         )
-    return diagram(n, rows)
+    return rows + (0,) * (n - len(rows))

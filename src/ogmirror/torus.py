@@ -32,9 +32,9 @@ from itertools import compress
 from operator import itemgetter
 
 from .diagrams import (
-    add_box,
+    _grown,
+    _label_table,
     box_count,
-    box_label,
     check_rank,
     diagram,
     empty_diagram,
@@ -137,12 +137,9 @@ def _position_bit(t: int) -> int:
 
 def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
     """(label, column) pairs of the staircase boxes in reading order."""
-    check_rank(n)
-    word = []
-    for r in range(1, n + 1):
-        for c in range(1, r + 1):
-            word.append((box_label(n, r, c), c))
-    return tuple(word)
+    return tuple(
+        (label, c) for row in _label_table(n) for c, label in enumerate(row, 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -177,20 +174,21 @@ def restrict_all(n: int) -> dict:
     diagram to the packed terms of the subsequences building it, starting
     from {empty: 1}; at word position t every diagram keeps its terms (box
     skipped) and, when the box is addable, also feeds its terms shifted by
-    the position's field to the grown diagram.  Values are packed
+    the position's field to the grown diagram (the addable labels of each
+    diagram are scanned once and remembered).  Values are packed
     polynomials (decode them with restrict_plucker); treat the returned
     dict as read-only, it is cached and shared.
     """
     check_rank(n)
     state = {empty_diagram(n): {0: 1}}
-    transitions: dict = {}
+    growth: dict = {}
     for t, (label, _) in enumerate(reduced_word(n)):
         step = _position_bit(t)
         grown_state = dict(state)
         for rows, terms in state.items():
-            if (rows, label) not in transitions:
-                transitions[rows, label] = add_box(n, rows, label)
-            grown = transitions[rows, label]
+            if rows not in growth:
+                growth[rows] = _grown(n, rows)
+            grown = growth[rows].get(label)
             if grown is not None:
                 moved = {key + step: coeff for key, coeff in terms.items()}
                 if grown in grown_state:
@@ -270,14 +268,7 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
 
 def label_columns(n: int, label: int) -> tuple[int, ...]:
     """Distinct staircase columns where the label occurs, ascending."""
-    check_rank(n)
-    cols = {
-        c
-        for r in range(1, n + 1)
-        for c in range(1, r + 1)
-        if box_label(n, r, c) == label
-    }
-    return tuple(sorted(cols))
+    return tuple(sorted({col for lab, col in reduced_word(n) if lab == label}))
 
 
 def _column_sum(n: int, i: int) -> _Packed:
@@ -286,11 +277,8 @@ def _column_sum(n: int, i: int) -> _Packed:
     if not 0 <= i <= n:
         raise ValueError(f"term index {i} outside 0..{n}")
     label = n + 1 - i
-    word = reduced_word(n)
-    return _Packed(
-        {_position_bit(word.index((label, col))): 1 for col in label_columns(n, label)},
-        1,
-    )
+    positions = [t for t, (lab, _) in enumerate(reduced_word(n)) if lab == label]
+    return _Packed(dict.fromkeys(map(_position_bit, positions), 1), 1)
 
 
 def term_restriction_factor(n: int, i: int) -> Polynomial:

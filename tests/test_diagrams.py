@@ -1,9 +1,12 @@
 from collections import deque
+from itertools import product
 
 import pytest
 
+from ogmirror import checks, diagrams
 from ogmirror.diagrams import (
     LabeledBox,
+    StructuralError,
     add_box,
     add_unique_box,
     addable_positions,
@@ -23,6 +26,7 @@ from ogmirror.diagrams import (
     staircase,
     staircase_prefix,
 )
+from ogmirror.potential import denominator_pair_levels
 
 
 def test_validity_examples():
@@ -206,7 +210,7 @@ def test_at_most_one_position_per_label(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_addable_positions_match_is_valid(n):
-    """The local addable rule agrees with re-validating the grown diagram."""
+    """The local addable and removable rules agree with re-validating the result."""
     for rows in all_diagrams(n):
         for label in range(1, n + 2):
             expected = [
@@ -217,6 +221,105 @@ def test_addable_positions_match_is_valid(n):
                 and is_valid(n, rows[: r - 1] + (rows[r - 1] + 1,) + rows[r:])
             ]
             assert addable_positions(n, rows, label) == expected
+            expected = [
+                LabeledBox(r, rows[r - 1], label)
+                for r in range(1, n + 1)
+                if rows[r - 1] > 0
+                and box_label(n, r, rows[r - 1]) == label
+                and is_valid(n, rows[: r - 1] + (rows[r - 1] - 1,) + rows[r:])
+            ]
+            assert removable_positions(n, rows, label) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hasse_edges_match_bruteforce_covers(n):
+    """Every pair of valid diagrams one box apart, found without the scans."""
+    candidates = product(*(range(r + 1) for r in range(1, n + 1)))
+    valid = {rows for rows in candidates if is_valid(n, rows)}
+    expected = []
+    for rows in valid:
+        for r in range(1, n + 1):
+            upper = rows[: r - 1] + (rows[r - 1] + 1,) + rows[r:]
+            if upper in valid:
+                expected.append((rows, upper, box_label(n, r, rows[r - 1] + 1)))
+    assert hasse_edges(n) == tuple(sorted(expected))
+
+
+def _moves_label_by_label(n, pair):
+    first, second = pair
+    out = []
+    for label in range(1, n + 2):
+        shrunk = remove_box(n, first, label)
+        grown = add_box(n, second, label)
+        if shrunk is not None and grown is not None:
+            out.append((shrunk, grown))
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_box_moves_match_label_by_label(n):
+    for i in range(2, n):
+        for level in denominator_pair_levels(n, i):
+            for pair in level:
+                assert box_moves(n, pair) == _moves_label_by_label(n, pair)
+
+
+def test_public_functions_validate_input():
+    for fn in (add_box, remove_box, addable_positions, removable_positions):
+        with pytest.raises(ValueError):
+            fn(3, (1, 1, 2), 1)
+        for label in (0, 5):
+            with pytest.raises(ValueError):
+                fn(3, (1, 2, 1), label)
+    with pytest.raises(ValueError):
+        add_unique_box(3, (2, 0, 0))
+    with pytest.raises(ValueError):
+        box_moves(3, ((1, 0, 0), (1, 1, 2)))
+
+
+def _relabel(monkeypatch, n, r, c, label):
+    """Patch the label table of rank n so cell (r, c) carries this label."""
+    original = diagrams._label_table
+    table = [list(row) for row in original(n)]
+    table[r - 1][c - 1] = label
+    patched = tuple(map(tuple, table))
+    monkeypatch.setattr(
+        diagrams, "_label_table", lambda rank: patched if rank == n else original(rank)
+    )
+
+
+def test_label_addable_twice_is_a_structural_error(monkeypatch):
+    # (1,2,1,0) accepts label 3 at (3,2) and label 1 at (4,1); relabel (4,1) to 3
+    _relabel(monkeypatch, 4, 4, 1, 3)
+    rows = (1, 2, 1, 0)
+    assert len(addable_positions(4, rows, 3)) == 2
+    with pytest.raises(StructuralError):
+        add_box(4, rows, 3)
+    with pytest.raises(StructuralError):
+        box_moves(4, ((1, 2, 2, 0), rows))
+    with pytest.raises(StructuralError):
+        hasse_edges.__wrapped__(4)
+    result = checks._unique_positions(4)
+    assert not result.passed
+    assert result.detail.startswith("violations: ")
+    assert "('addable', (1, 2, 1, 0), 3)" in result.detail
+
+
+def test_label_removable_twice_is_a_structural_error(monkeypatch):
+    # (1,2,1,0) releases label 2 at (3,1) and label 4 at (2,2); relabel (3,1) to 4
+    _relabel(monkeypatch, 4, 3, 1, 4)
+    rows = (1, 2, 1, 0)
+    assert len(removable_positions(4, rows, 4)) == 2
+    with pytest.raises(StructuralError):
+        remove_box(4, rows, 4)
+    with pytest.raises(StructuralError):
+        box_moves(4, (rows, (1, 2, 3, 3)))
+    # (1,1,0,0) now accepts label 4 at (2,2) and at (3,1)
+    with pytest.raises(StructuralError):
+        hasse_edges.__wrapped__(4)
+    result = checks._unique_positions(4)
+    assert not result.passed
+    assert "('removable', (1, 2, 1, 0), 4)" in result.detail
 
 
 @pytest.mark.parametrize("n", range(2, 7))
