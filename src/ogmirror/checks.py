@@ -2,11 +2,13 @@
 
 Each check covers one structural or restriction identity for a given rank;
 run_checks executes the whole battery and returns flat records that the CLI
-renders as text or JSON.  Everything here is recomputed from scratch
-through the public construction functions, so a passing battery really does
-exercise the box calculus, the pair recursion, the derivation and the
-path-sum restriction together.  The three restriction checks are built
-from one torus.restriction_residuals pass, which restricts each term once.
+renders as text or JSON.  Everything here goes through the public
+construction functions, so a passing battery really does exercise the box
+calculus, the pair recursion, the derivation and the path-sum restriction
+together.  The pair recursion runs once per middle term: the pair checks
+read the memoised levels that the terms are built from, not a second
+recursion.  The three restriction checks are built from one
+torus.restriction_residuals pass, which restricts each term once.
 """
 
 from collections import Counter
@@ -140,10 +142,8 @@ def run_checks(n: int) -> list[CheckResult]:
     check_rank(n)
     results = [_diagram_count(n), _unique_positions(n)]
     for i in range(2, n):
-        denominator_levels = denominator_pair_levels(n, i)
-        numerator_levels = numerator_pair_levels(n, i, denominator_levels)
-        results.append(_pair_recursion(n, i, denominator_levels))
-        results.append(_numerator_seed(n, i, numerator_levels))
+        results.append(_pair_recursion(n, i, denominator_pair_levels(n, i)))
+        results.append(_numerator_seed(n, i, numerator_pair_levels(n, i)))
     terms = superpotential(n)
     for term in terms[: n + 1]:
         results.append(_derivation_identity(n, term))

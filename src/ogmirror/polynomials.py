@@ -40,19 +40,8 @@ def is_quantum(var: Variable) -> bool:
     return var[0] == _QUANTUM_KIND
 
 
-def is_torus(var: Variable) -> bool:
-    return var[0] == _TORUS_KIND
-
-
 def is_plucker(var: Variable) -> bool:
     return var[0] == _PLUCKER_KIND
-
-
-def plucker_index(var: Variable) -> tuple[int, ...]:
-    """The diagram indexing a Plücker variable."""
-    if not is_plucker(var):
-        raise ValueError(f"not a Plücker variable: {var!r}")
-    return var[1]
 
 
 def variable_name(var: Variable) -> str:

@@ -9,13 +9,21 @@ the denominator levels start from the pair (row-prefix i-1, column-fill i)
 and move one box per level from the first diagram to the second, while the
 numerator levels are obtained by adding one box with label n+1-i to
 whichever component of each pair accepts it.
+
+The denominator recursion runs once per (rank, index): its levels are
+memoised, so the check battery's pair checks and the terms read the same
+levels.  Each signed sum, and each derivation, is built in one Polynomial
+construction over its (coefficient, exponents) pairs.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagrams import (
     DiagramPair,
     StructuralError,
+    _grown,
     add_box,
     add_unique_box,
     box_moves,
@@ -26,13 +34,7 @@ from .diagrams import (
     staircase,
     staircase_prefix,
 )
-from .polynomials import (
-    QUANTUM,
-    Polynomial,
-    RationalExpression,
-    is_plucker,
-    plucker_var,
-)
+from .polynomials import QUANTUM, Polynomial, is_plucker, plucker_var
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,13 @@ class SuperpotentialTerm:
     denominator: Polynomial
     quantum: bool = False
 
-    @property
-    def expression(self) -> RationalExpression:
-        return RationalExpression(self.numerator, self.denominator)
-
 
 def plucker_poly(rows) -> Polynomial:
     """The Plücker variable of a diagram, as a polynomial."""
     return Polynomial.variable(plucker_var(rows))
 
 
+@lru_cache(maxsize=None)
 def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
     """Levels of the box-moving recursion for the i-th denominator.
 
@@ -73,24 +72,21 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     return tuple(levels)
 
 
-def numerator_pair_levels(
-    n: int, i: int, denominator_levels=None
-) -> tuple[tuple[DiagramPair, ...], ...]:
-    """One-box promotions of the denominator levels.
+def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
+    """One-box promotions of the memoised denominator levels.
 
     For each pair, a box labeled n+1-i is added to whichever component
     accepts it; pairs where neither component accepts contribute nothing,
-    and both components accepting is a structural fault.
+    and both components accepting is a structural fault.  The recursion
+    built every diagram it promotes, so they are grown without validation.
     """
-    if denominator_levels is None:
-        denominator_levels = denominator_pair_levels(n, i)
     label = n + 1 - i
     levels = []
-    for level in denominator_levels:
+    for level in denominator_pair_levels(n, i):
         promoted = set()
         for first, second in level:
-            grown_first = add_box(n, first, label)
-            grown_second = add_box(n, second, label)
+            grown_first = _grown(n, first).get(label)
+            grown_second = _grown(n, second).get(label)
             if grown_first is not None and grown_second is not None:
                 raise StructuralError(
                     f"label {label} addable to both components of"
@@ -106,12 +102,11 @@ def numerator_pair_levels(
 
 def signed_pair_sum(levels) -> Polynomial:
     """Alternating sum over levels of the products p_first * p_second."""
-    total = Polynomial.zero()
-    for j, level in enumerate(levels):
-        sign = -1 if j % 2 else 1
-        for first, second in level:
-            total = total + sign * (plucker_poly(first) * plucker_poly(second))
-    return total
+    return Polynomial(
+        (-1 if j % 2 else 1, Counter((plucker_var(first), plucker_var(second))))
+        for j, level in enumerate(levels)
+        for first, second in level
+    )
 
 
 def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
@@ -125,26 +120,23 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
     if not 0 <= i <= n:
         raise ValueError(f"derivation index {i} outside 0..{n}")
     label = n + 1 - i
-    acc = Polynomial.zero()
-    for mono, coeff in poly.sorted_terms():
-        for var, exp in mono:
-            if not is_plucker(var):
-                raise ValueError(
-                    "derivation is defined on polynomials in Plücker"
-                    f" variables only, found {var!r}"
-                )
-            grown = add_box(n, var[1], label)
-            if grown is None:
-                continue
-            exps = dict(mono)
-            if exps[var] == 1:
-                del exps[var]
-            else:
-                exps[var] -= 1
-            grown_var = plucker_var(grown)
-            exps[grown_var] = exps.get(grown_var, 0) + 1
-            acc = acc + Polynomial.term(coeff * exp, exps)
-    return acc
+
+    def leibniz_terms():
+        for mono, coeff in poly.sorted_terms():
+            for var, exp in mono:
+                if not is_plucker(var):
+                    raise ValueError(
+                        "derivation is defined on polynomials in Plücker"
+                        f" variables only, found {var!r}"
+                    )
+                grown = add_box(n, var[1], label)
+                if grown is not None:
+                    exps = Counter(dict(mono))
+                    exps[var] -= 1
+                    exps[plucker_var(grown)] += 1
+                    yield coeff * exp, exps
+
+    return Polynomial(leibniz_terms())
 
 
 def potential_term(n: int, i: int) -> SuperpotentialTerm:
@@ -173,10 +165,10 @@ def potential_term(n: int, i: int) -> SuperpotentialTerm:
         return SuperpotentialTerm(
             n + 1, numerator, plucker_poly(staircase(n)), quantum=True
         )
-    denominator_levels = denominator_pair_levels(n, i)
-    numerator_levels = numerator_pair_levels(n, i, denominator_levels)
     return SuperpotentialTerm(
-        i, signed_pair_sum(numerator_levels), signed_pair_sum(denominator_levels)
+        i,
+        signed_pair_sum(numerator_pair_levels(n, i)),
+        signed_pair_sum(denominator_pair_levels(n, i)),
     )
 
 

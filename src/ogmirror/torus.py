@@ -242,13 +242,11 @@ def _predicted_denominator(n: int, i: int) -> _Packed:
     word = reduced_word(n)
     if i == 0:
         positions = []
-    elif i == 1:
-        positions = [t for t in range(len(word)) if word[t][1] == 1]
     elif i == n:
         positions = range((n - 1) * n // 2)
     elif i == n + 1:
         positions = range(len(word))
-    else:
+    else:  # also index 1, whose first ell_0 = 0 positions add nothing
         positions = [*range((i - 1) * i // 2)]
         positions += [t for t in range(len(word)) if word[t][1] <= i]
     return _Packed({sum(map(_position_bit, positions)): 1}, len(positions))

@@ -217,7 +217,7 @@ def test_criterion_7_structural_suites():
             levels = denominator_pair_levels(n, i)
             if len(levels) > i * (i - 1) // 2 + 1:
                 problems.append(f"n={n} i={i}: {len(levels)} levels")
-            seed = numerator_pair_levels(n, i, levels)[0]
+            seed = numerator_pair_levels(n, i)[0]
             expected = (
                 (add_unique_box(n, staircase_prefix(n, i - 1)), full_columns(n, i)),
             )

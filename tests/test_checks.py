@@ -3,13 +3,14 @@
 Each control builds a deliberately broken list of superpotential terms and
 runs the torus-restriction checks on it directly (nothing is monkeypatched),
 showing that the packed restriction path reports every fault it should.
+One more control corrupts a single entry of the restriction table instead.
 """
 
 import dataclasses
 
 import pytest
 
-from ogmirror import torus
+from ogmirror import potential, torus
 from ogmirror.checks import DETAIL_TERMS, restriction_checks, run_checks
 from ogmirror.diagrams import all_diagrams
 from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var
@@ -135,6 +136,51 @@ def test_each_term_is_restricted_once(n, monkeypatch):
     monkeypatch.setattr(torus, "_restrict", counting_restrict)
     restriction_checks(n, superpotential(n))
     assert len(calls) == 2 * (n + 2)
+
+
+def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
+    """p[1,1,0,0] sits in term 2's numerator and term 3's denominator."""
+    n, rows = 4, (1, 1, 0, 0)
+    table = torus.restrict_all(n)
+    entry = table[rows]
+    before = dict(entry.terms)
+    kept = dict(before)
+    del kept[min(kept)]
+    corrupted = {**table, rows: torus._Packed(kept, entry.degree)}
+    monkeypatch.setattr(torus, "restrict_all", lambda rank: corrupted)
+    expected = {
+        ("denominator_restriction", 3),
+        ("term_restriction", 2),
+        ("term_restriction", 3),
+        ("laurent_assembly", None),
+    }
+    terms = superpotential(n)
+    assert _failures(restriction_checks(n, terms)) == expected
+    assert _nonzero_residuals(n, terms) == expected
+    monkeypatch.undo()
+    assert torus.restrict_all(n)[rows] is entry
+    assert entry.terms == before
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_run_checks_runs_each_pair_recursion_once(n, monkeypatch):
+    calls = []
+    moves = potential.box_moves
+
+    def counting_moves(rank, pair):
+        calls.append(pair)
+        return moves(rank, pair)
+
+    potential.denominator_pair_levels.cache_clear()
+    monkeypatch.setattr(potential, "box_moves", counting_moves)
+    run_checks(n)
+    pairs = [
+        pair
+        for i in range(2, n)
+        for level in denominator_pair_levels(n, i)
+        for pair in level
+    ]
+    assert sorted(calls) == sorted(pairs)
 
 
 def _detail_terms(detail):

@@ -1,5 +1,6 @@
 import pytest
 
+from ogmirror import potential
 from ogmirror.diagrams import (
     StructuralError,
     add_unique_box,
@@ -86,11 +87,12 @@ def test_numerator_seed_is_unique_extension(n):
         assert levels[0] == (expected,)
 
 
-def test_numerator_promotion_faults_on_double_add():
+def test_numerator_promotion_faults_on_double_add(monkeypatch):
     # label 2 is addable to both copies of (1,2,0,0) at rank 4
     crafted = ((((1, 2, 0, 0), (1, 2, 0, 0)),),)
+    monkeypatch.setattr(potential, "denominator_pair_levels", lambda n, i: crafted)
     with pytest.raises(StructuralError):
-        numerator_pair_levels(4, 3, crafted)
+        numerator_pair_levels(4, 3)
 
 
 def test_signed_pair_sum_alternates():
@@ -100,6 +102,13 @@ def test_signed_pair_sum_alternates():
     )
     expected = p(1, 0, 0, 0) * p(1, 2, 2, 2) - p(0, 0, 0, 0) * p(1, 2, 3, 2)
     assert signed_pair_sum(levels) == expected
+
+
+def test_signed_pair_sum_combines_like_terms():
+    pair = ((1, 0, 0, 0), (1, 2, 2, 2))
+    assert signed_pair_sum(((pair,), (pair,))) == 0
+    square = ((1, 1, 0, 0), (1, 1, 0, 0))
+    assert signed_pair_sum(((square,),)) == p(1, 1, 0, 0) ** 2
 
 
 def test_box_derivation_on_middle_denominator():
