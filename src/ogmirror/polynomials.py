@@ -252,8 +252,6 @@ class Polynomial:
         ``times`` joins the coefficient and the factors, ``power`` formats a
         name and an exponent above 1, and ``minus`` is the minus sign.
         """
-        if not self._terms:
-            return "0"
         names = {var: namer(var) for var in self.variables()}
         chunks = []
         for mono, coeff in self.sorted_terms():
@@ -269,7 +267,7 @@ class Polynomial:
             else:
                 chunks.append(f" {minus} " if chunks else minus)
             chunks.append(times.join(factors))
-        return "".join(chunks)
+        return "".join(chunks) or "0"
 
     def to_text(self) -> str:
         """Canonical text form, terms joined by " + " / " − "."""

@@ -5,8 +5,12 @@ ordered by reading the boxes row by row, left to right (the reduced word).
 The restriction of a Plücker variable is a weighted sum over the ways of
 building its diagram by scanning that word once and adding the current box
 or skipping it: each admissible subsequence contributes the product of the
-coordinates it used.  A single forward pass over the word computes the
-restriction of every diagram simultaneously.
+coordinates it used.  One dynamic program over the word computes the
+restrictions of a set of target diagrams together, and only those: a
+backward pass marks the partial builds that can still reach a target, and
+the forward pass keeps only those.  restrict_all targets every diagram,
+restrict_plucker one, and restriction_residuals the diagrams its terms and
+laurent_potential read, so a caller pays for the restrictions it reads.
 
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
@@ -24,16 +28,23 @@ cross-multiplication.
 
 restriction_residuals restricts each term's numerator and denominator
 once and decides every restriction identity from those packed pairs.
+restrict_plucker returns a Polynomial that renders straight from its
+packed terms: a restriction is squarefree with coefficient 1, so one sort
+on each term's exponent bytes in canonical variable order puts the terms in
+canonical order without decoding them.
 """
 
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .diagrams import (
+    Diagram,
     _grown,
     _label_table,
+    _shrunk,
+    all_diagrams,
     box_count,
     check_rank,
     diagram,
@@ -166,46 +177,150 @@ def _decode(n: int, packed: _Packed) -> Polynomial:
     return Polynomial.from_terms(terms)
 
 
-@lru_cache(maxsize=None)
-def restrict_all(n: int) -> dict:
-    """Packed restrictions of all Plücker variables, keyed by diagram.
+def _squarefree_terms(n: int, packed: _Packed) -> list:
+    """The terms of a packed restriction in canonical order, without decoding.
 
-    Forward dynamic program over the reduced word: the state maps each
-    diagram to the packed terms of the subsequences building it, starting
-    from {empty: 1}; at word position t every diagram keeps its terms (box
-    skipped) and, when the box is addable, also feeds its terms shifted by
-    the position's field to the grown diagram (the addable labels of each
-    diagram are scanned once and remembered).  Values are packed
-    polynomials (decode them with restrict_plucker); treat the returned
-    dict as read-only, it is cached and shared.
+    Each term must have coefficient 1, be squarefree and have the degree of
+    the first term; anything else raises ValueError.  For such terms the
+    exponent bytes in canonical variable order, compared in descending
+    order, give exactly the canonical (lexicographic) monomial order, so
+    one sort on those bytes replaces decoding and sorting tuple monomials.
     """
-    check_rank(n)
+    getter, variables = _field_order(n)
+    count = len(variables)
+    ones = sum(1 << _FIELD_BITS * field for field in range(count))
+    degree = next(iter(packed.terms), 0).bit_count()
+    keys = []
+    for key, coeff in packed.terms.items():
+        if coeff != 1 or key | ones != ones or key.bit_count() != degree:
+            raise ValueError(
+                "only squarefree terms of one degree with coefficient 1 render"
+                f" from packed fields, got coefficient {coeff} on key {key:#x}"
+            )
+        # every field is 0 or 1, so its low byte is the whole exponent
+        keys.append(bytes(getter(key.to_bytes(2 * count, "little")[::2])))
+    keys.sort(reverse=True)
+    factors = [(var, 1) for var in variables]
+    return [(tuple(compress(factors, exps)), 1) for exps in keys]
+
+
+class _Restriction(Polynomial):
+    """A restriction read as a Polynomial.
+
+    Its packed terms are decoded only when first read; the renderers read
+    sorted_terms and variables, which come straight from the packed keys.
+    """
+
+    __slots__ = ("_n", "_packed", "_decoded")
+
+    def __init__(self, n: int, packed: _Packed):
+        self._n = n
+        self._packed = packed
+        self._decoded = None
+
+    @property
+    def _terms(self) -> dict:
+        if self._decoded is None:
+            self._decoded = _decode(self._n, self._packed)._terms
+        return self._decoded
+
+    def sorted_terms(self) -> list:
+        return _squarefree_terms(self._n, self._packed)
+
+    def variables(self) -> set:
+        # a field is nonzero in the OR of all keys iff some term uses it
+        getter, variables = _field_order(self._n)
+        union = reduce(or_, self._packed.terms, 0)
+        if union >> _FIELD_BITS * len(variables):
+            raise ValueError(f"packed key {union:#x} runs past the last field")
+        return set(compress(variables, getter(_fields(union, len(variables)))))
+
+
+def _path_sums(n: int, targets) -> dict:
+    """Packed restrictions of the target diagrams, keyed by diagram.
+
+    A backward pass over the reduced word first finds, for every position
+    t, the diagrams live at t: those that can still grow into a target using
+    positions t, t+1, ....  The targets are live at the end; a diagram is
+    live at t if it is live at t+1 or is a diagram live at t+1 with the box
+    of position t's label removed.  The forward pass starts from {empty: 1};
+    at position t every diagram keeps its terms (box skipped) and, when the
+    box is addable, feeds its terms shifted by the position's field to the
+    grown diagram, in each case only if the receiving diagram is live at
+    t+1.  So every state kept has a completion and no terms are built that
+    no target reads.  The removable and addable labels of each diagram are
+    scanned once per call.
+    """
+    word = reduced_word(n)
+    shrink: dict = {}
+    live = set(targets)
+    alive = [live]
+    for label, _ in reversed(word):
+        reached = set(live)
+        for rows in live:
+            if rows not in shrink:
+                shrink[rows] = _shrunk(n, rows)
+            smaller = shrink[rows].get(label)
+            if smaller is not None:
+                reached.add(smaller)
+        live = reached
+        alive.append(live)
+    alive.reverse()
     state = {empty_diagram(n): {0: 1}}
     growth: dict = {}
-    for t, (label, _) in enumerate(reduced_word(n)):
+    for t, (label, _) in enumerate(word):
         step = _position_bit(t)
-        grown_state = dict(state)
+        ahead = alive[t + 1]
+        grown_state = {rows: terms for rows, terms in state.items() if rows in ahead}
         for rows, terms in state.items():
             if rows not in growth:
                 growth[rows] = _grown(n, rows)
             grown = growth[rows].get(label)
-            if grown is not None:
+            if grown in ahead:
                 moved = {key + step: coeff for key, coeff in terms.items()}
                 if grown in grown_state:
                     _accumulate(moved, grown_state[grown])
                 grown_state[grown] = moved
         state = grown_state
-    return {rows: _Packed(terms, box_count(rows)) for rows, terms in state.items()}
+    return {rows: _Packed(state[rows], box_count(rows)) for rows in targets}
+
+
+@lru_cache(maxsize=None)
+def restrict_all(n: int) -> dict:
+    """Packed restrictions of all Plücker variables, keyed by diagram.
+
+    The path-sum dynamic program with every diagram as a target.  Values
+    are packed polynomials; treat the returned dict as read-only, it is
+    cached and shared.  Callers that read a few diagrams restrict only
+    those: restrict_plucker one, restriction_residuals the ones its terms
+    name.
+    """
+    return _path_sums(n, all_diagrams(n))
 
 
 def restrict_plucker(n: int, rows) -> Polynomial:
-    """Path-sum restriction of one Plücker variable."""
-    return _decode(n, restrict_all(n)[diagram(n, rows)])
+    """Path-sum restriction of one Plücker variable.
+
+    Runs the dynamic program with this diagram as the only target, so a
+    rank whose full table does not fit in memory still restricts a small
+    diagram.  The result is a Polynomial that decodes its packed terms only
+    when they are read and renders straight from them.
+    """
+    rows = diagram(n, rows)
+    return _Restriction(n, _path_sums(n, (rows,))[rows])
 
 
-def _restrict(n: int, poly: Polynomial) -> _Packed:
-    """Packed restriction of a polynomial in Plücker variables and q."""
-    table = restrict_all(n)
+def _restriction_table(n: int, polys, *extra: Diagram) -> dict:
+    """Path sums of the Plücker diagrams the polynomials read, plus extra ones."""
+    targets = {var[1] for poly in polys for var in poly.variables() if is_plucker(var)}
+    return _path_sums(n, targets.union(extra))
+
+
+def _restrict(table: dict, poly: Polynomial) -> _Packed:
+    """Packed restriction of a polynomial in Plücker variables and q.
+
+    table holds the path sum of every Plücker variable of poly.
+    """
     acc: dict = {}
     degree = 0
     for mono, coeff in poly.sorted_terms():
@@ -231,7 +346,7 @@ def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
     expanded exactly; polynomials already containing torus variables are
     rejected.
     """
-    return _decode(n, _restrict(n, poly))
+    return _decode(n, _restrict(_restriction_table(n, [poly]), poly))
 
 
 def _predicted_denominator(n: int, i: int) -> _Packed:
@@ -284,16 +399,22 @@ def term_restriction_factor(n: int, i: int) -> Polynomial:
     return _decode(n, _column_sum(n, i))
 
 
-def _restricted_pairs(n: int, terms) -> list[tuple[_Packed, _Packed]]:
-    """Packed restricted (numerator, denominator) of each term, one pass each."""
-    return [
-        (_restrict(n, term.numerator), _restrict(n, term.denominator)) for term in terms
+def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
+    """The path sums of the terms' Plücker diagrams plus extra ones, and the
+    packed restricted (numerator, denominator) of each term, one pass each."""
+    polys = [poly for term in terms for poly in (term.numerator, term.denominator)]
+    table = _restriction_table(n, polys, *extra)
+    pairs = [
+        (_restrict(table, term.numerator), _restrict(table, term.denominator))
+        for term in terms
     ]
+    return table, pairs
 
 
 def term_restriction_residual(n: int, i: int) -> Polynomial:
     """Term residual of the i-th superpotential term (see restriction_residuals)."""
-    ((numerator, denominator),) = _restricted_pairs(n, [potential_term(n, i)])
+    terms = [potential_term(n, i)]
+    _, ((numerator, denominator),) = _restricted_pairs(n, terms)
     return _decode(n, numerator - denominator * _column_sum(n, i))
 
 
@@ -311,12 +432,14 @@ def coordinate_sum(n: int) -> Polynomial:
     return _decode(n, _coordinate_sum(n))
 
 
-def _laurent_potential(n: int) -> tuple[_Packed, _Packed]:
-    check_rank(n)
-    table = restrict_all(n)
-    full = table[staircase(n)]
-    quantum_numerator = _Q * table[staircase_prefix(n, n - 2)]
-    return _coordinate_sum(n) * full + quantum_numerator, full
+def _laurent_diagrams(n: int) -> tuple[Diagram, Diagram]:
+    """The staircase and the row-prefix n-2 diagram laurent_potential reads."""
+    return staircase(n), staircase_prefix(n, n - 2)
+
+
+def _laurent_potential(n: int, table: dict) -> tuple[_Packed, _Packed]:
+    full, prefix = (table[rows] for rows in _laurent_diagrams(n))
+    return _coordinate_sum(n) * full + _Q * prefix, full
 
 
 def laurent_potential(n: int) -> RationalExpression:
@@ -327,7 +450,8 @@ def laurent_potential(n: int) -> RationalExpression:
     over the full staircase monomial, so the whole expression is a Laurent
     polynomial in the torus coordinates.
     """
-    numerator, denominator = _laurent_potential(n)
+    table = _path_sums(n, _laurent_diagrams(n))
+    numerator, denominator = _laurent_potential(n, table)
     return RationalExpression(_decode(n, numerator), _decode(n, denominator))
 
 
@@ -342,8 +466,8 @@ def _restricted_term_sum(pairs) -> tuple[_Packed, _Packed]:
 
 def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
-    check_rank(n)
-    pairs = _restricted_pairs(n, superpotential(n))
+    terms = superpotential(n)
+    _, pairs = _restricted_pairs(n, terms)
     numerator, denominator = _restricted_term_sum(pairs)
     return RationalExpression(_decode(n, numerator), _decode(n, denominator))
 
@@ -356,9 +480,11 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     per term of index i <= n, restrict(numerator) minus restrict(denominator)
     times term_restriction_factor; and whether the restricted terms add up
     to laurent_potential(n) by exact cross-multiplication.  A residual is
-    zero iff its identity holds.
+    zero iff its identity holds.  One dynamic program restricts exactly the
+    diagrams these identities read: the Plücker variables of the terms and
+    the two diagrams of laurent_potential.
     """
-    pairs = _restricted_pairs(n, terms)
+    table, pairs = _restricted_pairs(n, terms, *_laurent_diagrams(n))
     denominator_residuals = [
         _decode(n, denominator - _predicted_denominator(n, term.index))
         for term, (_, denominator) in zip(terms, pairs)
@@ -368,7 +494,7 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
         for term, (numerator, denominator) in zip(terms[: n + 1], pairs)
     ]
     numerator, denominator = _restricted_term_sum(pairs)
-    laurent_numerator, laurent_denominator = _laurent_potential(n)
+    laurent_numerator, laurent_denominator = _laurent_potential(n, table)
     holds = numerator * laurent_denominator == laurent_numerator * denominator
     return denominator_residuals, term_residuals, holds
 

@@ -29,3 +29,45 @@ def enumerate_restrictions(n):
         else:
             table[rows] = table[rows] + Polynomial.term(1, exponents)
     return table
+
+
+def _cell_label(n, r, c):
+    """Staircase label of cell (r, c): 1 bottom-left, constant along up-right
+    diagonals, n+1 / n alternating down the main diagonal."""
+    if c < r:
+        return n - r + c
+    return n + 1 if r % 2 == 1 else n
+
+
+def subsequence_count(n, target):
+    """Number of admissible subsequences of the reading word that build target.
+
+    An integer count with its own label rule and placement rule, sharing no
+    code with the package: the word lists the staircase cells row by row,
+    left to right, and each chosen cell's label is placed at the one cell
+    one past a row's end where that label sits and whose row above reaches
+    far enough.  Builds never shrink, so only diagrams inside target are
+    kept, which makes large ranks cheap for small targets.
+    """
+    state = {(0,) * n: 1}
+    for r in range(1, n + 1):
+        for c in range(1, r + 1):
+            label = _cell_label(n, r, c)
+            grown_state = dict(state)
+            for rows, count in state.items():
+                spots = [
+                    row
+                    for row in range(1, n + 1)
+                    if rows[row - 1] < row
+                    and _cell_label(n, row, rows[row - 1] + 1) == label
+                    and (row == 1 or rows[row - 2] >= min(rows[row - 1] + 1, row - 1))
+                ]
+                assert len(spots) <= 1, (rows, label, spots)
+                if not spots:
+                    continue
+                (row,) = spots
+                grown = rows[: row - 1] + (rows[row - 1] + 1,) + rows[row:]
+                if all(a <= b for a, b in zip(grown, target)):
+                    grown_state[grown] = grown_state.get(grown, 0) + count
+            state = grown_state
+    return state.get(tuple(target), 0)

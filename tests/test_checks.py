@@ -11,8 +11,8 @@ import dataclasses
 import pytest
 
 from ogmirror import potential, torus
-from ogmirror.checks import DETAIL_TERMS, restriction_checks, run_checks
-from ogmirror.diagrams import all_diagrams
+from ogmirror.checks import DETAIL_TERMS, all_passed, restriction_checks, run_checks
+from ogmirror.diagrams import all_diagrams, staircase, staircase_prefix
 from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var
 from ogmirror.potential import (
     box_derivation,
@@ -129,9 +129,9 @@ def test_each_term_is_restricted_once(n, monkeypatch):
     calls = []
     restrict = torus._restrict
 
-    def counting_restrict(rank, poly):
+    def counting_restrict(table, poly):
         calls.append(poly)
-        return restrict(rank, poly)
+        return restrict(table, poly)
 
     monkeypatch.setattr(torus, "_restrict", counting_restrict)
     restriction_checks(n, superpotential(n))
@@ -139,15 +139,26 @@ def test_each_term_is_restricted_once(n, monkeypatch):
 
 
 def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
-    """p[1,1,0,0] sits in term 2's numerator and term 3's denominator."""
+    """p[1,1,0,0] sits in term 2's numerator and term 3's denominator.
+
+    The battery reads the path sums of its own target set, so the corrupted
+    entry is dropped from that table, as the battery receives it.
+    """
     n, rows = 4, (1, 1, 0, 0)
-    table = torus.restrict_all(n)
-    entry = table[rows]
-    before = dict(entry.terms)
-    kept = dict(before)
-    del kept[min(kept)]
-    corrupted = {**table, rows: torus._Packed(kept, entry.degree)}
-    monkeypatch.setattr(torus, "restrict_all", lambda rank: corrupted)
+    cached = torus.restrict_all(n)[rows]
+    before = dict(cached.terms)
+    path_sums = torus._path_sums
+    read = []
+
+    def corrupted_path_sums(rank, targets):
+        table = path_sums(rank, targets)
+        entry = table[rows]
+        read.append((entry, dict(entry.terms)))
+        kept = dict(entry.terms)
+        del kept[min(kept)]
+        return {**table, rows: torus._Packed(kept, entry.degree)}
+
+    monkeypatch.setattr(torus, "_path_sums", corrupted_path_sums)
     expected = {
         ("denominator_restriction", 3),
         ("term_restriction", 2),
@@ -157,9 +168,38 @@ def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
     terms = superpotential(n)
     assert _failures(restriction_checks(n, terms)) == expected
     assert _nonzero_residuals(n, terms) == expected
+    assert len(read) == 2
     monkeypatch.undo()
-    assert torus.restrict_all(n)[rows] is entry
-    assert entry.terms == before
+    assert all(entry.terms == seen for entry, seen in read)
+    assert torus.restrict_all(n)[rows] is cached
+    assert cached.terms == before
+
+
+def _used_diagrams(n, terms):
+    """The Plücker diagrams of the terms, plus the two the Laurent form reads."""
+    used = {staircase(n), staircase_prefix(n, n - 2)}
+    for term in terms:
+        for poly in (term.numerator, term.denominator):
+            used |= {var[1] for var in poly.variables() if var != QUANTUM}
+    return used
+
+
+@pytest.mark.parametrize("n", (5, 6, 7, 8, 9))
+def test_battery_restricts_only_the_diagrams_it_reads(n, monkeypatch):
+    calls = []
+    path_sums = torus._path_sums
+
+    def recording_path_sums(rank, targets):
+        table = path_sums(rank, targets)
+        calls.append((rank, set(targets), set(table)))
+        return table
+
+    monkeypatch.setattr(torus, "_path_sums", recording_path_sums)
+    assert all_passed(run_checks(n))
+    used = _used_diagrams(n, superpotential(n))
+    assert calls == [(n, used, used)]
+    if n == 9:
+        assert (len(used), len(all_diagrams(n))) == (93, 512)
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from _bruteforce import subsequence_count
 from ogmirror.cli import main
 from test_checks import flipped_level_sign
 
@@ -81,6 +83,22 @@ def test_restrict_text_goldens(runner):
     assert result.output.strip() == (
         "a[1,1]*a[2,1]*a[2,2]*a[3,1]*a[3,2]*a[3,3]*a[4,2]*a[4,4]*a[5,1]*a[5,3]"
     )
+
+
+def test_restrict_serves_a_rank_whose_table_does_not_fit(runner):
+    # the full rank-14 table would hold billions of terms; one small
+    # diagram restricts on its own
+    started = time.perf_counter()
+    result = runner.invoke(
+        main, ["restrict", "--n", "14", "--diagram", "1,1,1", "--format", "json"]
+    )
+    elapsed = time.perf_counter() - started
+    assert result.exit_code == 0
+    terms = json.loads(result.output)
+    assert len(terms) == subsequence_count(14, (1, 1, 1) + (0,) * 11)
+    assert all(term["coefficient"] == 1 for term in terms)
+    assert all(len(term["exponents"]) == 3 for term in terms)
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
 
 def test_restrict_empty_diagram(runner):

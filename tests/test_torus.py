@@ -1,7 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from _bruteforce import enumerate_restrictions
+from _bruteforce import enumerate_restrictions, subsequence_count
 from _polynomial_reference import (
     reference_laurent,
     reference_restrict,
@@ -16,12 +18,15 @@ from ogmirror.polynomials import (
     plucker_var,
     torus_var,
 )
+from ogmirror import torus
 from ogmirror.potential import potential_term, superpotential
 from ogmirror.torus import (
     _FIELD_MAX,
     _Packed,
     _Q,
+    _Restriction,
     _decode,
+    _path_sums,
     coordinate_sum,
     label_columns,
     laurent_potential,
@@ -251,6 +256,85 @@ def test_packed_restrictions_decode_to_polynomial_reference(n):
     ):
         assert packed.numerator.sorted_terms() == expected.numerator.sorted_terms()
         assert packed.denominator.sorted_terms() == expected.denominator.sorted_terms()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_single_target_path_sums_match_restrict_all(n):
+    table = restrict_all(n)
+    assert list(table) == list(all_diagrams(n))
+    for rows in all_diagrams(n):
+        (single,) = _path_sums(n, (rows,)).values()
+        assert single == table[rows]
+        assert single.degree == table[rows].degree
+    # a target set returns exactly its targets
+    some = all_diagrams(n)[1::3]
+    picked = _path_sums(n, some)
+    assert list(picked) == list(some)
+    assert all(picked[rows] == table[rows] for rows in some)
+
+
+def test_single_target_scans_only_diagrams_inside_it(monkeypatch):
+    n, target = 9, (1, 2, 1, 1, 0, 0, 0, 0, 0)
+    scanned = []
+    grown = torus._grown
+
+    def recording_grown(rank, rows):
+        scanned.append(rows)
+        return grown(rank, rows)
+
+    monkeypatch.setattr(torus, "_grown", recording_grown)
+    _path_sums(n, (target,))
+    inside = [
+        rows for rows in all_diagrams(n) if all(c <= t for c, t in zip(rows, target))
+    ]
+    assert sorted(scanned) == inside
+
+
+def test_subsequence_count_matches_restriction_sizes():
+    for n in (2, 3, 4, 5, 6):
+        table = restrict_all(n)
+        for rows in all_diagrams(n):
+            assert subsequence_count(n, rows) == table[rows].term_count()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_restriction_renders_like_its_polynomial(n):
+    for rows in all_diagrams(n):
+        restricted = restrict_plucker(n, rows)
+        plain = _decode(n, restricted._packed)
+        assert type(plain) is Polynomial
+        assert restricted.sorted_terms() == plain.sorted_terms()
+        assert restricted.variables() == plain.variables()
+        assert restricted.to_text() == plain.to_text()
+        assert restricted.to_latex() == plain.to_latex()
+        packed_json = json.dumps(restricted.to_json_terms())
+        assert packed_json == json.dumps(plain.to_json_terms())
+
+
+@pytest.mark.parametrize(
+    "terms",
+    (
+        {2 << 16: 1},  # a[5,1]^2 at rank 4
+        {1 << 16: 2},  # coefficient 2
+        {1 << 16: -1},  # coefficient -1
+        {1 << 16: 1, (1 << 32) + (1 << 48): 1},  # degrees 1 and 2
+    ),
+)
+def test_packed_rendering_refuses_what_it_cannot_order(terms):
+    restricted = _Restriction(4, _Packed(terms, 2))
+    for render in (restricted.to_text, restricted.to_latex, restricted.to_json_terms):
+        with pytest.raises(ValueError):
+            render()
+    with pytest.raises(ValueError):
+        restricted.sorted_terms()
+    # the decoded polynomial still renders
+    assert _decode(4, restricted._packed).to_text()
+
+
+def test_packed_rendering_refuses_keys_past_the_last_field():
+    restricted = _Restriction(4, _Packed({1 << 16 * 11: 1}, 1))
+    with pytest.raises(ValueError):
+        restricted.to_text()
 
 
 def test_packed_product_refuses_field_overflow():
