@@ -2,13 +2,16 @@
 
 Each check covers one structural or restriction identity for a given rank;
 run_checks executes the whole battery and returns flat records that the CLI
-renders as text or JSON.  Everything here goes through the public
-construction functions, so a passing battery really does exercise the box
-calculus, the pair recursion, the derivation and the path-sum restriction
-together.  The pair recursion runs once per middle term: the pair checks
-read the memoised levels that the terms are built from, not a second
-recursion.  The three restriction checks are built from one
-torus.restriction_residuals pass, which restricts each term once.
+renders as text or JSON.  The checks go through the public construction
+functions, so a passing battery exercises the box calculus, the pair
+recursion, the derivation and the path-sum restriction together; only
+unique_positions reads the diagram scans directly, to count a label that
+fits twice where the public functions raise StructuralError.  A check whose
+computation rejects a broken term fails, naming the term and the error,
+instead of aborting the battery.  The pair recursion runs once per middle
+term: the pair checks read the memoised levels that the terms are built
+from, not a second recursion.  The three restriction checks are built from
+one torus.restriction_residuals pass, which restricts each term once.
 """
 
 from collections import Counter
@@ -94,7 +97,12 @@ def _numerator_seed(n, i, numerator_levels):
 
 
 def _derivation_identity(n, term):
-    derived = box_derivation(n, term.index, term.denominator)
+    try:
+        derived = box_derivation(n, term.index, term.denominator)
+    except ValueError as err:
+        return CheckResult(
+            "derivation_identity", n, term.index, False, f"term {term.index}: {err}"
+        )
     ok = derived == term.numerator
     return CheckResult(
         "derivation_identity", n, term.index, ok,
@@ -103,7 +111,14 @@ def _derivation_identity(n, term):
 
 
 def _degree_sum(n, terms):
-    total = sum(term.denominator.plucker_degree() for term in terms)
+    total = 0
+    for term in terms:
+        try:
+            total += term.denominator.plucker_degree()
+        except ValueError as err:
+            return CheckResult(
+                "degree_sum", n, None, False, f"term {term.index}: {err}"
+            )
     return CheckResult("degree_sum", n, None, total == 2 * n, f"sum {total}")
 
 

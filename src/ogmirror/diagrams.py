@@ -243,7 +243,6 @@ def all_diagrams(n: int) -> tuple[Diagram, ...]:
     return tuple(sorted(partial))
 
 
-@lru_cache(maxsize=None)
 def hasse_edges(n: int) -> tuple[tuple[Diagram, Diagram, int], ...]:
     """All covering pairs (smaller, larger, label of the added box), sorted.
 

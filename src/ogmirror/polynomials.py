@@ -87,18 +87,15 @@ def _merge(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _add_term(acc: dict, mono: Monomial, coeff: int) -> None:
-    total = acc.get(mono, 0) + coeff
-    if total:
-        acc[mono] = total
-    else:
-        acc.pop(mono, None)
-
-
-def _wrap(terms: dict) -> "Polynomial":
-    poly = Polynomial.__new__(Polynomial)
-    poly._terms = terms
-    return poly
+def _accumulate(acc: dict, terms: dict) -> None:
+    """Add terms into acc in place, dropping cancelled keys (monomials or,
+    for the torus module's packed polynomials, packed exponent ints)."""
+    for key, coeff in terms.items():
+        total = acc.get(key, 0) + coeff
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
 
 
 class Polynomial:
@@ -110,16 +107,17 @@ class Polynomial:
         """Build from (coefficient, exponent-dict) pairs; like terms combine."""
         acc: dict = {}
         for coeff, exponents in terms:
-            _add_term(acc, _monomial(exponents), int(coeff))
-        self._terms = acc
+            mono = _monomial(exponents)
+            acc[mono] = acc.get(mono, 0) + int(coeff)
+        self._terms = {mono: coeff for mono, coeff in acc.items() if coeff}
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return _wrap({})
+        return cls.from_terms({})
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
-        return _wrap({(): int(value)} if value else {})
+        return cls.from_terms({(): int(value)} if value else {})
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -129,17 +127,19 @@ class Polynomial:
     def variable(cls, var: Variable, power: int = 1) -> "Polynomial":
         if power < 1:
             raise ValueError(f"power must be >= 1, got {power}")
-        return _wrap({((var, power),): 1})
+        return cls.from_terms({((var, power),): 1})
 
     @classmethod
     def from_terms(cls, terms: dict) -> "Polynomial":
         """Wrap canonical monomials mapped to nonzero coefficients, unchecked."""
-        return _wrap(terms)
+        poly = Polynomial.__new__(Polynomial)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def term(cls, coeff: int, exponents: dict) -> "Polynomial":
         coeff = int(coeff)
-        return _wrap({_monomial(exponents): coeff} if coeff else {})
+        return cls.from_terms({_monomial(exponents): coeff} if coeff else {})
 
     @staticmethod
     def _coerce(other) -> "Polynomial | None":
@@ -161,16 +161,15 @@ class Polynomial:
     __hash__ = None
 
     def __neg__(self) -> "Polynomial":
-        return _wrap({mono: -coeff for mono, coeff in self._terms.items()})
+        return Polynomial.from_terms({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            _add_term(acc, mono, coeff)
-        return _wrap(acc)
+        _accumulate(acc, other._terms)
+        return Polynomial.from_terms(acc)
 
     __radd__ = __add__
 
@@ -193,8 +192,9 @@ class Polynomial:
         acc: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                _add_term(acc, _merge(m1, m2), c1 * c2)
-        return _wrap(acc)
+                mono = _merge(m1, m2)
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+        return Polynomial.from_terms({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 

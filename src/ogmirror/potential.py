@@ -34,7 +34,7 @@ from .diagrams import (
     staircase,
     staircase_prefix,
 )
-from .polynomials import QUANTUM, Polynomial, is_plucker, plucker_var
+from .polynomials import QUANTUM, Polynomial, is_plucker, plucker_var, variable_name
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
                 if not is_plucker(var):
                     raise ValueError(
                         "derivation is defined on polynomials in Plücker"
-                        f" variables only, found {var!r}"
+                        f" variables only, found {variable_name(var)}"
                     )
                 grown = add_box(n, var[1], label)
                 if grown is not None:

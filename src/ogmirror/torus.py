@@ -2,13 +2,18 @@
 
 The torus chart carries one coordinate a[label, column] per staircase box,
 ordered by reading the boxes row by row, left to right (the reduced word).
-The restriction of a Plücker variable is a weighted sum over the ways of
-building its diagram by scanning that word once and adding the current box
-or skipping it: each admissible subsequence contributes the product of the
-coordinates it used.  One dynamic program over the word computes the
-restrictions of a set of target diagrams together, and only those: a
-backward pass marks the partial builds that can still reach a target, and
-the forward pass keeps only those.  restrict_all targets every diagram,
+The restriction of a Plücker variable p_D sums, over the admissible
+subsequences of the word that build D, the product of the coordinates used.
+With a_t the coordinate at word position t and R_t(D) that sum over the
+first t positions, R_0 is 1 on the empty diagram and 0 elsewhere, and
+
+    R_{t+1}(D) = R_t(D) + a_t * R_t(D minus the box of position t's label),
+
+the second summand counting only when that box is removable from D.  One
+dynamic program evaluates this for a set of target diagrams and only those:
+a backward pass marks the diagrams that can still grow into a target,
+scanning each once for its removable boxes, and the forward pass replays
+the removals that scan found.  restrict_all targets every diagram,
 restrict_plucker one, and restriction_residuals the diagrams its terms and
 laurent_potential read, so a caller pays for the restrictions it reads.
 
@@ -41,7 +46,6 @@ from operator import itemgetter, or_
 
 from .diagrams import (
     Diagram,
-    _grown,
     _label_table,
     _shrunk,
     all_diagrams,
@@ -56,6 +60,7 @@ from .polynomials import (
     QUANTUM,
     Polynomial,
     RationalExpression,
+    _accumulate,
     is_plucker,
     is_quantum,
     torus_var,
@@ -64,16 +69,6 @@ from .potential import potential_term, superpotential
 
 _FIELD_BITS = 16
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
-
-
-def _accumulate(acc: dict, terms: dict) -> None:
-    """Add packed terms into acc in place, dropping cancelled keys."""
-    for key, coeff in terms.items():
-        total = acc.get(key, 0) + coeff
-        if total:
-            acc[key] = total
-        else:
-            del acc[key]
 
 
 class _Packed:
@@ -239,62 +234,44 @@ class _Restriction(Polynomial):
 def _path_sums(n: int, targets) -> dict:
     """Packed restrictions of the target diagrams, keyed by diagram.
 
-    A backward pass over the reduced word first finds, for every position
-    t, the diagrams live at t: those that can still grow into a target using
-    positions t, t+1, ....  The targets are live at the end; a diagram is
-    live at t if it is live at t+1 or is a diagram live at t+1 with the box
-    of position t's label removed.  The forward pass starts from {empty: 1};
-    at position t every diagram keeps its terms (box skipped) and, when the
-    box is addable, feeds its terms shifted by the position's field to the
-    grown diagram, in each case only if the receiving diagram is live at
-    t+1.  So every state kept has a completion and no terms are built that
-    no target reads.  The removable and addable labels of each diagram are
-    scanned once per call.
+    Evaluates R_{t+1}(D) = R_t(D) + a_t * R_t(D minus box_t) on live diagrams
+    only.  The backward pass records, per position t, the diagrams that can
+    still grow into a target after t and the removals of t's label from
+    them, scanning each diagram once; the forward pass keeps each live
+    diagram's terms and replays the removals, shifting by t's field.
     """
     word = reduced_word(n)
     shrink: dict = {}
     live = set(targets)
-    alive = [live]
+    steps = []
     for label, _ in reversed(word):
-        reached = set(live)
+        removals = []
         for rows in live:
             if rows not in shrink:
                 shrink[rows] = _shrunk(n, rows)
             smaller = shrink[rows].get(label)
             if smaller is not None:
-                reached.add(smaller)
-        live = reached
-        alive.append(live)
-    alive.reverse()
+                removals.append((rows, smaller))
+        steps.append((live, removals))
+        live = live.union(smaller for _, smaller in removals)
     state = {empty_diagram(n): {0: 1}}
-    growth: dict = {}
-    for t, (label, _) in enumerate(word):
-        step = _position_bit(t)
-        ahead = alive[t + 1]
-        grown_state = {rows: terms for rows, terms in state.items() if rows in ahead}
-        for rows, terms in state.items():
-            if rows not in growth:
-                growth[rows] = _grown(n, rows)
-            grown = growth[rows].get(label)
-            if grown in ahead:
-                moved = {key + step: coeff for key, coeff in terms.items()}
-                if grown in grown_state:
-                    _accumulate(moved, grown_state[grown])
-                grown_state[grown] = moved
-        state = grown_state
+    for t, (ahead, removals) in enumerate(reversed(steps)):
+        shift = _position_bit(t)
+        next_state = {rows: terms for rows, terms in state.items() if rows in ahead}
+        for rows, smaller in removals:
+            terms = state.get(smaller)
+            if terms is not None:
+                moved = {key + shift: coeff for key, coeff in terms.items()}
+                if rows in next_state:
+                    _accumulate(moved, next_state[rows])
+                next_state[rows] = moved
+        state = next_state
     return {rows: _Packed(state[rows], box_count(rows)) for rows in targets}
 
 
-@lru_cache(maxsize=None)
 def restrict_all(n: int) -> dict:
-    """Packed restrictions of all Plücker variables, keyed by diagram.
-
-    The path-sum dynamic program with every diagram as a target.  Values
-    are packed polynomials; treat the returned dict as read-only, it is
-    cached and shared.  Callers that read a few diagrams restrict only
-    those: restrict_plucker one, restriction_residuals the ones its terms
-    name.
-    """
+    """Packed restrictions of all Plücker variables, keyed by diagram: the
+    path-sum dynamic program with every diagram as a target."""
     return _path_sums(n, all_diagrams(n))
 
 
@@ -377,11 +354,6 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
     ell_{i-1} positions times the product over positions with column <= i.
     """
     return _decode(n, _predicted_denominator(n, i))
-
-
-def label_columns(n: int, label: int) -> tuple[int, ...]:
-    """Distinct staircase columns where the label occurs, ascending."""
-    return tuple(sorted({col for lab, col in reduced_word(n) if lab == label}))
 
 
 def _column_sum(n: int, i: int) -> _Packed:
@@ -497,14 +469,3 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     laurent_numerator, laurent_denominator = _laurent_potential(n, table)
     holds = numerator * laurent_denominator == laurent_numerator * denominator
     return denominator_residuals, term_residuals, holds
-
-
-def monomial_box_counts_hold(n: int) -> bool:
-    """Every restriction monomial uses exactly one coordinate per box added."""
-    count = 1 + len(reduced_word(n))
-    for rows, packed in restrict_all(n).items():
-        target = box_count(rows)
-        for key, coeff in packed.terms.items():
-            if coeff < 1 or sum(_fields(key, count)) != target:
-                return False
-    return True

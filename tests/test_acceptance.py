@@ -32,7 +32,6 @@ from ogmirror.potential import (
 from ogmirror.torus import (
     laurent_potential,
     predicted_denominator_restriction,
-    restrict_all,
     restrict_plucker,
     restrict_polynomial,
     restricted_term_sum,
@@ -180,7 +179,6 @@ def test_criterion_4_derived_numerator_factorizes():
 
 
 def test_criterion_5_term_restriction_sweep():
-    restrict_all.cache_clear()
     started = time.perf_counter()
     failures = [
         (n, i)

@@ -4,13 +4,16 @@ Each control builds a deliberately broken list of superpotential terms and
 runs the torus-restriction checks on it directly (nothing is monkeypatched),
 showing that the packed restriction path reports every fault it should.
 One more control corrupts a single entry of the restriction table instead.
+Two battery controls break a term so that a check outside the restriction
+path cannot even compute its value; they run the whole battery with
+checks.superpotential patched, and the check must fail, not raise.
 """
 
 import dataclasses
 
 import pytest
 
-from ogmirror import potential, torus
+from ogmirror import checks, potential, torus
 from ogmirror.checks import DETAIL_TERMS, all_passed, restriction_checks, run_checks
 from ogmirror.diagrams import all_diagrams, staircase, staircase_prefix
 from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var
@@ -91,6 +94,33 @@ CONTROLS = (
 )
 
 
+def non_homogeneous_denominator(n):
+    """Term 2's denominator plus 1, of Plücker degrees 0 and 2."""
+    terms = superpotential(n)
+    terms[2] = dataclasses.replace(terms[2], denominator=terms[2].denominator + 1)
+    return terms, {
+        ("degree_sum", None),
+        ("denominator_restriction", 2),
+        ("term_restriction", 2),
+        ("laurent_assembly", None),
+    }
+
+
+def quantum_in_denominator(n):
+    """Both parts of term 2 times q: the quotient is unchanged, but the
+    derivation rejects q and the restricted denominator gains a factor q."""
+    terms = superpotential(n)
+    q = Polynomial.variable(QUANTUM)
+    term = terms[2]
+    terms[2] = dataclasses.replace(
+        term, numerator=q * term.numerator, denominator=q * term.denominator
+    )
+    return terms, {("derivation_identity", 2), ("denominator_restriction", 2)}
+
+
+BATTERY_CONTROLS = (non_homogeneous_denominator, quantum_in_denominator)
+
+
 def _failures(results):
     return {(result.name, result.index) for result in results if not result.passed}
 
@@ -124,6 +154,24 @@ def test_broken_potential_fails_named_checks(n, control):
     assert _nonzero_residuals(n, terms) == expected
 
 
+@pytest.mark.parametrize(
+    "control", BATTERY_CONTROLS, ids=lambda control: control.__name__
+)
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_battery_fails_a_check_that_cannot_compute(n, control, monkeypatch):
+    terms, expected = control(n)
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(terms))
+    results = run_checks(n)
+    assert _failures(results) == expected
+    (raised,) = [
+        result
+        for result in results
+        if result.name in ("degree_sum", "derivation_identity") and not result.passed
+    ]
+    assert raised.detail.startswith("term 2: ")
+    assert "\n" not in raised.detail
+
+
 @pytest.mark.parametrize("n", (2, 3, 6))
 def test_each_term_is_restricted_once(n, monkeypatch):
     calls = []
@@ -145,8 +193,7 @@ def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
     entry is dropped from that table, as the battery receives it.
     """
     n, rows = 4, (1, 1, 0, 0)
-    cached = torus.restrict_all(n)[rows]
-    before = dict(cached.terms)
+    fresh = torus.restrict_all(n)[rows]
     path_sums = torus._path_sums
     read = []
 
@@ -171,8 +218,7 @@ def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
     assert len(read) == 2
     monkeypatch.undo()
     assert all(entry.terms == seen for entry, seen in read)
-    assert torus.restrict_all(n)[rows] is cached
-    assert cached.terms == before
+    assert torus.restrict_all(n)[rows] == fresh
 
 
 def _used_diagrams(n, terms):

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from _bruteforce import subsequence_count
 from ogmirror.cli import main
-from test_checks import flipped_level_sign
+from test_checks import flipped_level_sign, non_homogeneous_denominator
 
 
 @pytest.fixture()
@@ -177,6 +177,26 @@ def test_verify_fails_on_a_broken_potential(runner, monkeypatch):
     ]
     assert "FAILED 4 checks" in result.output
     assert "VERIFIED" not in result.output
+
+
+def test_verify_fails_without_a_traceback_on_a_non_homogeneous_denominator(
+    runner, monkeypatch
+):
+    terms, _ = non_homogeneous_denominator(4)
+    monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))
+    result = runner.invoke(main, ["verify", "--n", "4"])
+    assert type(result.exception) is SystemExit
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert [line for line in lines if line.endswith(" FAIL")] == [
+        "CHECK degree_sum n=4 i=- FAIL",
+        "CHECK denominator_restriction n=4 i=2 FAIL",
+        "CHECK term_restriction n=4 i=2 FAIL",
+        "CHECK laurent_assembly n=4 i=- FAIL",
+    ]
+    assert lines[-1] == "FAILED 4 checks"
+    detail = "term 2: not homogeneous in Plücker variables, degrees [0, 2]"
+    assert f"  {detail}\n" in result.stderr
 
 
 def test_verify_usage_errors(runner):

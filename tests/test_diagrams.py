@@ -298,7 +298,7 @@ def test_label_addable_twice_is_a_structural_error(monkeypatch):
     with pytest.raises(StructuralError):
         box_moves(4, ((1, 2, 2, 0), rows))
     with pytest.raises(StructuralError):
-        hasse_edges.__wrapped__(4)
+        hasse_edges(4)
     result = checks._unique_positions(4)
     assert not result.passed
     assert result.detail.startswith("violations: ")
@@ -316,7 +316,7 @@ def test_label_removable_twice_is_a_structural_error(monkeypatch):
         box_moves(4, (rows, (1, 2, 3, 3)))
     # (1,1,0,0) now accepts label 4 at (2,2) and at (3,1)
     with pytest.raises(StructuralError):
-        hasse_edges.__wrapped__(4)
+        hasse_edges(4)
     result = checks._unique_positions(4)
     assert not result.passed
     assert "('removable', (1, 2, 1, 0), 4)" in result.detail

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -18,7 +19,7 @@ from ogmirror.polynomials import (
     plucker_var,
     torus_var,
 )
-from ogmirror import torus
+from ogmirror import diagrams, torus
 from ogmirror.potential import potential_term, superpotential
 from ogmirror.torus import (
     _FIELD_MAX,
@@ -28,15 +29,14 @@ from ogmirror.torus import (
     _decode,
     _path_sums,
     coordinate_sum,
-    label_columns,
     laurent_potential,
-    monomial_box_counts_hold,
     predicted_denominator_restriction,
     reduced_word,
     restrict_all,
     restrict_plucker,
     restrict_polynomial,
     restricted_term_sum,
+    restriction_residuals,
     term_restriction_factor,
     term_restriction_residual,
     verify_term_restriction,
@@ -161,12 +161,6 @@ def test_denominators_restrict_to_predicted_monomials(n):
         )
 
 
-def test_label_columns_n4():
-    assert label_columns(4, 5) == (1, 3)
-    assert label_columns(4, 2) == (1, 2)
-    assert label_columns(4, 1) == (1,)
-
-
 def test_term_restriction_factors_n4():
     assert term_restriction_factor(4, 3) == a(2, 1) + a(2, 2)
     assert term_restriction_factor(4, 0) == a(5, 1) + a(5, 3)
@@ -213,7 +207,6 @@ def test_restricted_term_sum_matches_laurent(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_restriction_monomials_count_boxes(n):
-    assert monomial_box_counts_hold(n)
     for rows in all_diagrams(n):
         restricted = restrict_plucker(n, rows)
         assert restricted
@@ -276,18 +269,54 @@ def test_single_target_path_sums_match_restrict_all(n):
 def test_single_target_scans_only_diagrams_inside_it(monkeypatch):
     n, target = 9, (1, 2, 1, 1, 0, 0, 0, 0, 0)
     scanned = []
-    grown = torus._grown
+    shrunk = torus._shrunk
 
-    def recording_grown(rank, rows):
+    def recording_shrunk(rank, rows):
         scanned.append(rows)
-        return grown(rank, rows)
+        return shrunk(rank, rows)
 
-    monkeypatch.setattr(torus, "_grown", recording_grown)
+    monkeypatch.setattr(torus, "_shrunk", recording_shrunk)
     _path_sums(n, (target,))
     inside = [
         rows for rows in all_diagrams(n) if all(c <= t for c, t in zip(rows, target))
     ]
     assert sorted(scanned) == inside
+
+
+_full_table = functools.cache(restrict_all)
+
+
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(all_diagrams(n))))
+    )
+)
+def test_target_subsets_match_the_full_table(case):
+    n, targets = case
+    picked = _path_sums(n, targets)
+    assert set(picked) == targets
+    full = _full_table(n)
+    for rows, packed in picked.items():
+        assert packed.terms == full[rows].terms
+        assert packed.degree == full[rows].degree
+
+
+def test_restriction_scans_removable_boxes_only(monkeypatch):
+    n = 5
+    terms = superpotential(n)
+
+    def refuse(rank, rows):
+        raise AssertionError("the path-sum recurrence reads removable boxes only")
+
+    monkeypatch.setattr(torus, "_grown", refuse, raising=False)
+    monkeypatch.setattr(diagrams, "_grown", refuse)
+    table = restrict_all(n)
+    for rows in all_diagrams(n):
+        assert restrict_plucker(n, rows).term_count() == table[rows].term_count()
+    denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
+    assert not any(denominator_residuals)
+    assert not any(term_residuals)
+    assert holds
 
 
 def test_subsequence_count_matches_restriction_sizes():
