@@ -8,10 +8,12 @@ recursion, the derivation and the path-sum restriction together; only
 unique_positions reads the diagram scans directly, to count a label that
 fits twice where the public functions raise StructuralError.  A check whose
 computation rejects a broken term fails, naming the term and the error,
-instead of aborting the battery.  The pair recursion runs once per middle
-term: the pair checks read the memoised levels that the terms are built
-from, not a second recursion.  The three restriction checks are built from
-one torus.restriction_residuals pass, which restricts each term once.
+instead of aborting the battery; terms that cannot be restricted fail every
+restriction check with the restriction's error.  The pair recursion runs
+once per middle term: the pair checks read the memoised levels that the
+terms are built from, not a second recursion.  The three restriction checks
+are built from one torus.restriction_residuals pass, which restricts each
+term once.
 """
 
 from collections import Counter
@@ -167,8 +169,18 @@ def run_checks(n: int) -> list[CheckResult]:
 
 
 def restriction_checks(n: int, terms) -> list[CheckResult]:
-    """The torus-restriction checks of the battery, run on the given terms."""
-    denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
+    """The torus-restriction checks of the battery, run on the given terms.
+
+    If the terms cannot be restricted (a Plücker variable that is not a
+    diagram of rank n), every check fails with that error as its detail.
+    """
+    try:
+        denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
+    except ValueError as err:
+        failed = [("denominator_restriction", term.index) for term in terms]
+        failed += [("term_restriction", term.index) for term in terms[: n + 1]]
+        failed.append(("laurent_assembly", None))
+        return [CheckResult(name, n, index, False, str(err)) for name, index in failed]
     results = [
         _denominator_restriction(n, term.index, residual)
         for term, residual in zip(terms, denominator_residuals)

@@ -69,10 +69,17 @@ def variable_latex(var: Variable) -> str:
     return "p_{(" + ",".join(str(c) for c in rows) + ")}"
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is an int; rounding anything else would lose exactness."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def _monomial(exponents: dict) -> Monomial:
     items = []
     for var, exp in exponents.items():
-        if exp == 0:
+        if _integer(exp, "exponent") == 0:
             continue
         if exp < 0:
             raise ValueError(f"negative exponent {exp} for {variable_name(var)}")
@@ -108,7 +115,7 @@ class Polynomial:
         acc: dict = {}
         for coeff, exponents in terms:
             mono = _monomial(exponents)
-            acc[mono] = acc.get(mono, 0) + int(coeff)
+            acc[mono] = acc.get(mono, 0) + _integer(coeff, "coefficient")
         self._terms = {mono: coeff for mono, coeff in acc.items() if coeff}
 
     @classmethod
@@ -117,7 +124,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
-        return cls.from_terms({(): int(value)} if value else {})
+        value = _integer(value, "coefficient")
+        return cls.from_terms({(): value} if value else {})
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -125,7 +133,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, var: Variable, power: int = 1) -> "Polynomial":
-        if power < 1:
+        if _integer(power, "power") < 1:
             raise ValueError(f"power must be >= 1, got {power}")
         return cls.from_terms({((var, power),): 1})
 
@@ -138,7 +146,7 @@ class Polynomial:
 
     @classmethod
     def term(cls, coeff: int, exponents: dict) -> "Polynomial":
-        coeff = int(coeff)
+        coeff = _integer(coeff, "coefficient")
         return cls.from_terms({_monomial(exponents): coeff} if coeff else {})
 
     @staticmethod

@@ -27,16 +27,13 @@ position t to a build sequence is adding 1 << 16*(t+1).  A packed
 polynomial maps such ints to nonzero integer coefficients and carries an
 upper bound on its total degree, which bounds every field; a product whose
 bound would exceed 2^16 - 1 raises OverflowError instead of carrying one
-field into the next.  Results are decoded to Polynomial only where they
-leave this module, and equality is still decided by exact
-cross-multiplication.
+field into the next.  Equality is still decided by exact cross-multiplication.
 
-restriction_residuals restricts each term's numerator and denominator
-once and decides every restriction identity from those packed pairs.
-restrict_plucker returns a Polynomial that renders straight from its
-packed terms: a restriction is squarefree with coefficient 1, so one sort
-on each term's exponent bytes in canonical variable order puts the terms in
-canonical order without decoding them.
+The packed polynomial is itself a Polynomial of its rank, and every function
+here returns one: it decodes its fields into tuple monomials only when read
+that way, and a restriction, squarefree with coefficient 1, renders from one
+sort on its exponent bytes.  restriction_residuals restricts each term's
+numerator and denominator once and decides every identity from those pairs.
 """
 
 import sys
@@ -53,6 +50,7 @@ from .diagrams import (
     check_rank,
     diagram,
     empty_diagram,
+    is_valid,
     staircase,
     staircase_prefix,
 )
@@ -63,7 +61,9 @@ from .polynomials import (
     _accumulate,
     is_plucker,
     is_quantum,
+    plucker_var,
     torus_var,
+    variable_name,
 )
 from .potential import potential_term, superpotential
 
@@ -71,45 +71,62 @@ _FIELD_BITS = 16
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 
-class _Packed:
-    """Sparse polynomial over packed exponent ints (see the module docstring).
+class _Packed(Polynomial):
+    """Polynomial in q and the coordinates of rank n, on packed exponent ints.
 
     ``terms`` maps packed monomials to nonzero integer coefficients and is
-    never mutated once the object exists; ``degree`` is an upper bound on the
-    total degree of every term.
+    never mutated; ``degree`` bounds the total degree of every term.  With a
+    packed polynomial of the same rank, + - * and == stay packed; anything
+    else goes through Polynomial, which reads the terms decoded once.
     """
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("n", "terms", "degree", "_tuple_terms")
 
-    def __init__(self, terms: dict, degree: int):
+    def __init__(self, n: int, terms: dict, degree: int):
+        self.n = n
         self.terms = terms
         self.degree = degree
+        self._tuple_terms = None
+
+    @property
+    def _terms(self) -> dict:
+        if self._tuple_terms is None:
+            getter, variables = _field_order(self.n)
+            fields = (getter(_fields(key, len(variables))) for key in self.terms)
+            self._tuple_terms = {
+                tuple(zip(compress(variables, exps), compress(exps, exps))): coeff
+                for exps, coeff in zip(fields, self.terms.values())
+            }
+        return self._tuple_terms
+
+    def _same_packing(self, other) -> bool:
+        return isinstance(other, _Packed) and other.n == self.n
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, _Packed):
-            return NotImplemented
+        if not self._same_packing(other):
+            return super().__eq__(other)
         return self.terms == other.terms
-
-    __hash__ = None
 
     def term_count(self) -> int:
         return len(self.terms)
 
     def __neg__(self) -> "_Packed":
-        return _Packed({key: -coeff for key, coeff in self.terms.items()}, self.degree)
+        negated = {key: -coeff for key, coeff in self.terms.items()}
+        return _Packed(self.n, negated, self.degree)
 
-    def __add__(self, other: "_Packed") -> "_Packed":
+    def __add__(self, other):
+        if not self._same_packing(other):
+            return super().__add__(other)
         terms = dict(self.terms)
         _accumulate(terms, other.terms)
-        return _Packed(terms, max(self.degree, other.degree))
+        return _Packed(self.n, terms, max(self.degree, other.degree))
 
-    def __sub__(self, other: "_Packed") -> "_Packed":
-        return self + (-other)
-
-    def __mul__(self, other: "_Packed") -> "_Packed":
+    def __mul__(self, other):
+        if not self._same_packing(other):
+            return super().__mul__(other)
         degree = self.degree + other.degree
         if degree > _FIELD_MAX:
             raise OverflowError(
@@ -119,21 +136,46 @@ class _Packed:
         small, large = sorted((self.terms, other.terms), key=len)
         if len(small) == 1:
             ((shift, scale),) = small.items()
-            return _Packed(
-                {key + shift: coeff * scale for key, coeff in large.items()}, degree
-            )
+            terms = {key + shift: coeff * scale for key, coeff in large.items()}
+            return _Packed(self.n, terms, degree)
         acc: dict = {}
         get = acc.get
         for k1, c1 in small.items():
             for k2, c2 in large.items():
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-        return _Packed({key: coeff for key, coeff in acc.items() if coeff}, degree)
+        terms = {key: coeff for key, coeff in acc.items() if coeff}
+        return _Packed(self.n, terms, degree)
 
+    def sorted_terms(self) -> list:
+        """Terms in canonical order, as Polynomial sorts them.
 
-_ZERO = _Packed({}, 0)
-_ONE = _Packed({0: 1}, 0)
-_Q = _Packed({1: 1}, 1)
+        When every term is squarefree with coefficient 1 and of one degree,
+        as in a restriction, the exponent bytes in canonical variable order,
+        compared in descending order, give exactly that order, so one sort on
+        those bytes replaces decoding and sorting tuple monomials.
+        """
+        getter, variables = _field_order(self.n)
+        count = len(variables)
+        ones = sum(1 << _FIELD_BITS * field for field in range(count))
+        degree = next(iter(self.terms), 0).bit_count()
+        keys = []
+        for key, coeff in self.terms.items():
+            if coeff != 1 or key | ones != ones or key.bit_count() != degree:
+                return super().sorted_terms()
+            # every field is 0 or 1, so its low byte is the whole exponent
+            keys.append(bytes(getter(key.to_bytes(2 * count, "little")[::2])))
+        keys.sort(reverse=True)
+        factors = [(var, 1) for var in variables]
+        return [(tuple(compress(factors, exps)), 1) for exps in keys]
+
+    def variables(self) -> set:
+        # a field is nonzero in the OR of all keys iff some term uses it
+        getter, variables = _field_order(self.n)
+        union = reduce(or_, self.terms, 0)
+        if union >> _FIELD_BITS * len(variables):
+            raise ValueError(f"packed key {union:#x} runs past the last field")
+        return set(compress(variables, getter(_fields(union, len(variables)))))
 
 
 def _position_bit(t: int) -> int:
@@ -159,76 +201,6 @@ def _field_order(n: int) -> tuple[itemgetter, tuple]:
 def _fields(key: int, count: int) -> memoryview:
     """The 16-bit exponent fields of a packed monomial, field 0 first."""
     return memoryview(key.to_bytes(2 * count, sys.byteorder)).cast("H")
-
-
-def _decode(n: int, packed: _Packed) -> Polynomial:
-    """The Polynomial in q and a[label, column] a packed polynomial stands for."""
-    getter, variables = _field_order(n)
-    count = len(variables)
-    terms = {}
-    for key, coeff in packed.terms.items():
-        exps = getter(_fields(key, count))
-        terms[tuple(zip(compress(variables, exps), compress(exps, exps)))] = coeff
-    return Polynomial.from_terms(terms)
-
-
-def _squarefree_terms(n: int, packed: _Packed) -> list:
-    """The terms of a packed restriction in canonical order, without decoding.
-
-    Each term must have coefficient 1, be squarefree and have the degree of
-    the first term; anything else raises ValueError.  For such terms the
-    exponent bytes in canonical variable order, compared in descending
-    order, give exactly the canonical (lexicographic) monomial order, so
-    one sort on those bytes replaces decoding and sorting tuple monomials.
-    """
-    getter, variables = _field_order(n)
-    count = len(variables)
-    ones = sum(1 << _FIELD_BITS * field for field in range(count))
-    degree = next(iter(packed.terms), 0).bit_count()
-    keys = []
-    for key, coeff in packed.terms.items():
-        if coeff != 1 or key | ones != ones or key.bit_count() != degree:
-            raise ValueError(
-                "only squarefree terms of one degree with coefficient 1 render"
-                f" from packed fields, got coefficient {coeff} on key {key:#x}"
-            )
-        # every field is 0 or 1, so its low byte is the whole exponent
-        keys.append(bytes(getter(key.to_bytes(2 * count, "little")[::2])))
-    keys.sort(reverse=True)
-    factors = [(var, 1) for var in variables]
-    return [(tuple(compress(factors, exps)), 1) for exps in keys]
-
-
-class _Restriction(Polynomial):
-    """A restriction read as a Polynomial.
-
-    Its packed terms are decoded only when first read; the renderers read
-    sorted_terms and variables, which come straight from the packed keys.
-    """
-
-    __slots__ = ("_n", "_packed", "_decoded")
-
-    def __init__(self, n: int, packed: _Packed):
-        self._n = n
-        self._packed = packed
-        self._decoded = None
-
-    @property
-    def _terms(self) -> dict:
-        if self._decoded is None:
-            self._decoded = _decode(self._n, self._packed)._terms
-        return self._decoded
-
-    def sorted_terms(self) -> list:
-        return _squarefree_terms(self._n, self._packed)
-
-    def variables(self) -> set:
-        # a field is nonzero in the OR of all keys iff some term uses it
-        getter, variables = _field_order(self._n)
-        union = reduce(or_, self._packed.terms, 0)
-        if union >> _FIELD_BITS * len(variables):
-            raise ValueError(f"packed key {union:#x} runs past the last field")
-        return set(compress(variables, getter(_fields(union, len(variables)))))
 
 
 def _path_sums(n: int, targets) -> dict:
@@ -266,7 +238,7 @@ def _path_sums(n: int, targets) -> dict:
                     _accumulate(moved, next_state[rows])
                 next_state[rows] = moved
         state = next_state
-    return {rows: _Packed(state[rows], box_count(rows)) for rows in targets}
+    return {rows: _Packed(n, state[rows], box_count(rows)) for rows in targets}
 
 
 def restrict_all(n: int) -> dict:
@@ -280,20 +252,27 @@ def restrict_plucker(n: int, rows) -> Polynomial:
 
     Runs the dynamic program with this diagram as the only target, so a
     rank whose full table does not fit in memory still restricts a small
-    diagram.  The result is a Polynomial that decodes its packed terms only
-    when they are read and renders straight from them.
+    diagram.
     """
     rows = diagram(n, rows)
-    return _Restriction(n, _path_sums(n, (rows,))[rows])
+    return _path_sums(n, (rows,))[rows]
 
 
 def _restriction_table(n: int, polys, *extra: Diagram) -> dict:
-    """Path sums of the Plücker diagrams the polynomials read, plus extra ones."""
+    """Path sums of the Plücker diagrams the polynomials read, plus extra ones.
+
+    A Plücker variable that is not a full-length rank-n diagram raises
+    ValueError, the least such variable named.
+    """
     targets = {var[1] for poly in polys for var in poly.variables() if is_plucker(var)}
+    for rows in sorted(targets):
+        if len(rows) != n or not is_valid(n, rows):
+            name = variable_name(plucker_var(rows))
+            raise ValueError(f"{name} is not a diagram of rank {n}")
     return _path_sums(n, targets.union(extra))
 
 
-def _restrict(table: dict, poly: Polynomial) -> _Packed:
+def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
     """Packed restriction of a polynomial in Plücker variables and q.
 
     table holds the path sum of every Plücker variable of poly.
@@ -301,33 +280,40 @@ def _restrict(table: dict, poly: Polynomial) -> _Packed:
     acc: dict = {}
     degree = 0
     for mono, coeff in poly.sorted_terms():
-        piece = _Packed({0: coeff}, 0)
+        piece = _Packed(n, {0: coeff}, 0)
         for var, exp in mono:
             if is_plucker(var):
                 factor = table[var[1]]
             elif is_quantum(var):
-                factor = _Q
+                factor = _Packed(n, {1: 1}, 1)
             else:
                 raise ValueError(f"input already contains the torus variable {var!r}")
             for _ in range(exp):
                 piece = piece * factor
         _accumulate(acc, piece.terms)
         degree = max(degree, piece.degree)
-    return _Packed(acc, degree)
+    return _Packed(n, acc, degree)
 
 
 def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
     """Restrict a polynomial in Plücker variables (q passes through).
 
     Every Plücker variable is replaced by its restriction and the result is
-    expanded exactly; polynomials already containing torus variables are
-    rejected.
+    expanded exactly; polynomials already containing torus variables, or
+    Plücker variables that are not diagrams of rank n, are rejected.
     """
-    return _decode(n, _restrict(_restriction_table(n, [poly]), poly))
+    return _restrict(n, _restriction_table(n, [poly]), poly)
 
 
-def _predicted_denominator(n: int, i: int) -> _Packed:
-    """Packed form of predicted_denominator_restriction."""
+def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
+    """Closed-form monomial the restricted i-th denominator must equal.
+
+    Writing ell_k = k(k+1)/2 for the number of boxes in the first k rows:
+    index 0 gives 1, index 1 the product over column-1 positions, index n
+    the product over the first ell_{n-1} positions, index n+1 the product
+    over all positions, and a middle index i the product over the first
+    ell_{i-1} positions times the product over positions with column <= i.
+    """
     check_rank(n)
     if not 0 <= i <= n + 1:
         raise ValueError(f"term index {i} outside 0..{n + 1}")
@@ -341,34 +327,17 @@ def _predicted_denominator(n: int, i: int) -> _Packed:
     else:  # also index 1, whose first ell_0 = 0 positions add nothing
         positions = [*range((i - 1) * i // 2)]
         positions += [t for t in range(len(word)) if word[t][1] <= i]
-    return _Packed({sum(map(_position_bit, positions)): 1}, len(positions))
+    return _Packed(n, {sum(map(_position_bit, positions)): 1}, len(positions))
 
 
-def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
-    """Closed-form monomial the restricted i-th denominator must equal.
-
-    Writing ell_k = k(k+1)/2 for the number of boxes in the first k rows:
-    index 0 gives 1, index 1 the product over column-1 positions, index n
-    the product over the first ell_{n-1} positions, index n+1 the product
-    over all positions, and a middle index i the product over the first
-    ell_{i-1} positions times the product over positions with column <= i.
-    """
-    return _decode(n, _predicted_denominator(n, i))
-
-
-def _column_sum(n: int, i: int) -> _Packed:
-    """Packed form of term_restriction_factor."""
+def term_restriction_factor(n: int, i: int) -> Polynomial:
+    """Sum of a[n+1-i, column] over the columns where label n+1-i occurs."""
     check_rank(n)
     if not 0 <= i <= n:
         raise ValueError(f"term index {i} outside 0..{n}")
     label = n + 1 - i
     positions = [t for t, (lab, _) in enumerate(reduced_word(n)) if lab == label]
-    return _Packed(dict.fromkeys(map(_position_bit, positions), 1), 1)
-
-
-def term_restriction_factor(n: int, i: int) -> Polynomial:
-    """Sum of a[n+1-i, column] over the columns where label n+1-i occurs."""
-    return _decode(n, _column_sum(n, i))
+    return _Packed(n, dict.fromkeys(map(_position_bit, positions), 1), 1)
 
 
 def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
@@ -377,7 +346,7 @@ def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
     polys = [poly for term in terms for poly in (term.numerator, term.denominator)]
     table = _restriction_table(n, polys, *extra)
     pairs = [
-        (_restrict(table, term.numerator), _restrict(table, term.denominator))
+        (_restrict(n, table, term.numerator), _restrict(n, table, term.denominator))
         for term in terms
     ]
     return table, pairs
@@ -387,7 +356,7 @@ def term_restriction_residual(n: int, i: int) -> Polynomial:
     """Term residual of the i-th superpotential term (see restriction_residuals)."""
     terms = [potential_term(n, i)]
     _, ((numerator, denominator),) = _restricted_pairs(n, terms)
-    return _decode(n, numerator - denominator * _column_sum(n, i))
+    return numerator - denominator * term_restriction_factor(n, i)
 
 
 def verify_term_restriction(n: int, i: int) -> bool:
@@ -395,13 +364,9 @@ def verify_term_restriction(n: int, i: int) -> bool:
     return not term_restriction_residual(n, i)
 
 
-def _coordinate_sum(n: int) -> _Packed:
-    return _Packed({_position_bit(t): 1 for t in range(len(reduced_word(n)))}, 1)
-
-
 def coordinate_sum(n: int) -> Polynomial:
     """The sum of all torus coordinates a[label, column]."""
-    return _decode(n, _coordinate_sum(n))
+    return _Packed(n, {_position_bit(t): 1 for t in range(len(reduced_word(n)))}, 1)
 
 
 def _laurent_diagrams(n: int) -> tuple[Diagram, Diagram]:
@@ -411,7 +376,7 @@ def _laurent_diagrams(n: int) -> tuple[Diagram, Diagram]:
 
 def _laurent_potential(n: int, table: dict) -> tuple[_Packed, _Packed]:
     full, prefix = (table[rows] for rows in _laurent_diagrams(n))
-    return _coordinate_sum(n) * full + _Q * prefix, full
+    return coordinate_sum(n) * full + _Packed(n, {1: 1}, 1) * prefix, full
 
 
 def laurent_potential(n: int) -> RationalExpression:
@@ -423,13 +388,12 @@ def laurent_potential(n: int) -> RationalExpression:
     polynomial in the torus coordinates.
     """
     table = _path_sums(n, _laurent_diagrams(n))
-    numerator, denominator = _laurent_potential(n, table)
-    return RationalExpression(_decode(n, numerator), _decode(n, denominator))
+    return RationalExpression(*_laurent_potential(n, table))
 
 
-def _restricted_term_sum(pairs) -> tuple[_Packed, _Packed]:
+def _restricted_term_sum(n: int, pairs) -> tuple[_Packed, _Packed]:
     """Unreduced sum of restricted quotients, as RationalExpression adds."""
-    numerator, denominator = _ZERO, _ONE
+    numerator, denominator = _Packed(n, {}, 0), _Packed(n, {0: 1}, 0)
     for term_numerator, term_denominator in pairs:
         numerator = numerator * term_denominator + term_numerator * denominator
         denominator = denominator * term_denominator
@@ -440,8 +404,7 @@ def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
     terms = superpotential(n)
     _, pairs = _restricted_pairs(n, terms)
-    numerator, denominator = _restricted_term_sum(pairs)
-    return RationalExpression(_decode(n, numerator), _decode(n, denominator))
+    return RationalExpression(*_restricted_term_sum(n, pairs))
 
 
 def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
@@ -454,18 +417,19 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     to laurent_potential(n) by exact cross-multiplication.  A residual is
     zero iff its identity holds.  One dynamic program restricts exactly the
     diagrams these identities read: the Plücker variables of the terms and
-    the two diagrams of laurent_potential.
+    the two diagrams of laurent_potential.  A Plücker variable that is not
+    a diagram of rank n raises ValueError.
     """
     table, pairs = _restricted_pairs(n, terms, *_laurent_diagrams(n))
     denominator_residuals = [
-        _decode(n, denominator - _predicted_denominator(n, term.index))
+        denominator - predicted_denominator_restriction(n, term.index)
         for term, (_, denominator) in zip(terms, pairs)
     ]
     term_residuals = [
-        _decode(n, numerator - denominator * _column_sum(n, term.index))
+        numerator - denominator * term_restriction_factor(n, term.index)
         for term, (numerator, denominator) in zip(terms[: n + 1], pairs)
     ]
-    numerator, denominator = _restricted_term_sum(pairs)
+    numerator, denominator = _restricted_term_sum(n, pairs)
     laurent_numerator, laurent_denominator = _laurent_potential(n, table)
     holds = numerator * laurent_denominator == laurent_numerator * denominator
     return denominator_residuals, term_residuals, holds

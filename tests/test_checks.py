@@ -5,8 +5,9 @@ runs the torus-restriction checks on it directly (nothing is monkeypatched),
 showing that the packed restriction path reports every fault it should.
 One more control corrupts a single entry of the restriction table instead.
 Two battery controls break a term so that a check outside the restriction
-path cannot even compute its value; they run the whole battery with
-checks.superpotential patched, and the check must fail, not raise.
+path cannot even compute its value, and a third so that no term can be
+restricted; they run the whole battery with checks.superpotential patched,
+and the checks must fail, not raise.
 """
 
 import dataclasses
@@ -121,6 +122,18 @@ def quantum_in_denominator(n):
 BATTERY_CONTROLS = (non_homogeneous_denominator, quantum_in_denominator)
 
 
+def invalid_plucker_variable(n):
+    """Term 0's numerator p[2,0,...,0], whose row 1 overfills the staircase:
+    the derivation differs, and nothing can be restricted."""
+    terms = superpotential(n)
+    bad = Polynomial.variable(plucker_var((2,) + (0,) * (n - 1)))
+    terms[0] = dataclasses.replace(terms[0], numerator=bad)
+    restriction = {("denominator_restriction", i) for i in range(n + 2)}
+    restriction |= {("term_restriction", i) for i in range(n + 1)}
+    restriction.add(("laurent_assembly", None))
+    return terms, restriction | {("derivation_identity", 0)}
+
+
 def _failures(results):
     return {(result.name, result.index) for result in results if not result.passed}
 
@@ -172,14 +185,26 @@ def test_battery_fails_a_check_that_cannot_compute(n, control, monkeypatch):
     assert "\n" not in raised.detail
 
 
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_battery_fails_every_restriction_check_on_an_invalid_diagram(n, monkeypatch):
+    terms, expected = invalid_plucker_variable(n)
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(terms))
+    results = run_checks(n)
+    assert _failures(results) == expected
+    detail = "p[2" + ",0" * (n - 1) + f"] is not a diagram of rank {n}"
+    restriction = [result for result in results if result.name != "derivation_identity"]
+    assert {result.detail for result in restriction if not result.passed} == {detail}
+    assert _failures(restriction_checks(n, terms)) == expected - {("derivation_identity", 0)}
+
+
 @pytest.mark.parametrize("n", (2, 3, 6))
 def test_each_term_is_restricted_once(n, monkeypatch):
     calls = []
     restrict = torus._restrict
 
-    def counting_restrict(table, poly):
+    def counting_restrict(rank, table, poly):
         calls.append(poly)
-        return restrict(table, poly)
+        return restrict(rank, table, poly)
 
     monkeypatch.setattr(torus, "_restrict", counting_restrict)
     restriction_checks(n, superpotential(n))
@@ -203,7 +228,7 @@ def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
         read.append((entry, dict(entry.terms)))
         kept = dict(entry.terms)
         del kept[min(kept)]
-        return {**table, rows: torus._Packed(kept, entry.degree)}
+        return {**table, rows: torus._Packed(rank, kept, entry.degree)}
 
     monkeypatch.setattr(torus, "_path_sums", corrupted_path_sums)
     expected = {

@@ -6,7 +6,11 @@ from click.testing import CliRunner
 
 from _bruteforce import subsequence_count
 from ogmirror.cli import main
-from test_checks import flipped_level_sign, non_homogeneous_denominator
+from test_checks import (
+    flipped_level_sign,
+    invalid_plucker_variable,
+    non_homogeneous_denominator,
+)
 
 
 @pytest.fixture()
@@ -197,6 +201,23 @@ def test_verify_fails_without_a_traceback_on_a_non_homogeneous_denominator(
     assert lines[-1] == "FAILED 4 checks"
     detail = "term 2: not homogeneous in Plücker variables, degrees [0, 2]"
     assert f"  {detail}\n" in result.stderr
+
+
+def test_verify_fails_without_a_traceback_on_an_invalid_diagram(runner, monkeypatch):
+    terms, _ = invalid_plucker_variable(4)
+    monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))
+    result = runner.invoke(main, ["verify", "--n", "4"])
+    assert type(result.exception) is SystemExit
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    failing = [line for line in lines if line.endswith(" FAIL")]
+    assert failing[:2] == [
+        "CHECK derivation_identity n=4 i=0 FAIL",
+        "CHECK denominator_restriction n=4 i=0 FAIL",
+    ]
+    assert len(failing) == 1 + 6 + 5 + 1
+    assert lines[-1] == "FAILED 13 checks"
+    assert "  p[2,0,0,0] is not a diagram of rank 4\n" in result.stderr
 
 
 def test_verify_usage_errors(runner):

@@ -78,6 +78,21 @@ def test_integer_coercion_both_sides():
     assert 1 - poly == -(poly - 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda: Polynomial.constant(0.5),
+        lambda: Polynomial.term(1.9, {QUANTUM: 1}),
+        lambda: Polynomial([(2.5, {})]),
+        lambda: Polynomial.variable(QUANTUM, 1.5),
+        lambda: Polynomial.term(1, {QUANTUM: 2.0}),
+    ),
+)
+def test_non_integer_coefficients_and_exponents_are_rejected(build):
+    with pytest.raises(TypeError, match="must be an int"):
+        build()
+
+
 def test_pow():
     base = a(1, 1) + 1
     assert base**0 == 1

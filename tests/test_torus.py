@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,9 +25,6 @@ from ogmirror.potential import potential_term, superpotential
 from ogmirror.torus import (
     _FIELD_MAX,
     _Packed,
-    _Q,
-    _Restriction,
-    _decode,
     _path_sums,
     coordinate_sum,
     laurent_potential,
@@ -49,6 +47,15 @@ def a(i, j):
 
 def p(*rows):
     return Polynomial.variable(plucker_var(rows))
+
+
+def _decode(packed):
+    """The plain Polynomial a packed one stands for, read field by field."""
+    variables = [QUANTUM] + [torus_var(*box) for box in reduced_word(packed.n)]
+    return Polynomial(
+        (coeff, {var: key >> 16 * field & 0xFFFF for field, var in enumerate(variables)})
+        for key, coeff in packed.terms.items()
+    )
 
 
 # the rank-4 torus restriction of phi_3, frozen from the worked example
@@ -139,6 +146,13 @@ def test_restrict_polynomial_constant_and_quantum():
 def test_restrict_polynomial_rejects_torus_input():
     with pytest.raises(ValueError):
         restrict_polynomial(4, a(1, 1))
+
+
+@pytest.mark.parametrize("rows", ((1, 1, 0), (2, 0, 0, 0), (1, 1, 0, 0, 0)))
+def test_restrict_polynomial_rejects_variables_that_are_not_diagrams(rows):
+    name = "p[" + ",".join(map(str, rows)) + "]"
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} is not a diagram of rank 4$"):
+        restrict_polynomial(4, p(1, 1, 0, 0) * p(*rows))
 
 
 def test_predicted_denominator_boundaries():
@@ -330,7 +344,7 @@ def test_subsequence_count_matches_restriction_sizes():
 def test_restriction_renders_like_its_polynomial(n):
     for rows in all_diagrams(n):
         restricted = restrict_plucker(n, rows)
-        plain = _decode(n, restricted._packed)
+        plain = _decode(restricted)
         assert type(plain) is Polynomial
         assert restricted.sorted_terms() == plain.sorted_terms()
         assert restricted.variables() == plain.variables()
@@ -350,18 +364,17 @@ def test_restriction_renders_like_its_polynomial(n):
     ),
 )
 def test_packed_rendering_refuses_what_it_cannot_order(terms):
-    restricted = _Restriction(4, _Packed(terms, 2))
-    for render in (restricted.to_text, restricted.to_latex, restricted.to_json_terms):
-        with pytest.raises(ValueError):
-            render()
-    with pytest.raises(ValueError):
-        restricted.sorted_terms()
-    # the decoded polynomial still renders
-    assert _decode(4, restricted._packed).to_text()
+    """Terms the byte sort cannot order render from their decoded monomials."""
+    packed = _Packed(4, terms, 2)
+    plain = _decode(packed)
+    assert packed.sorted_terms() == plain.sorted_terms()
+    assert packed.to_text() == plain.to_text()
+    assert packed.to_latex() == plain.to_latex()
+    assert packed.to_json_terms() == plain.to_json_terms()
 
 
 def test_packed_rendering_refuses_keys_past_the_last_field():
-    restricted = _Restriction(4, _Packed({1 << 16 * 11: 1}, 1))
+    restricted = _Packed(4, {1 << 16 * 11: 1}, 1)
     with pytest.raises(ValueError):
         restricted.to_text()
 
@@ -369,17 +382,17 @@ def test_packed_rendering_refuses_keys_past_the_last_field():
 def test_packed_product_refuses_field_overflow():
     # q^a * q^b lands in field 0; a + b past the field width must raise, not
     # carry into the field of the first word position.
-    assert (_Packed({30000: 1}, 30000) * _Packed({35535: 1}, 35535)).terms == {
+    assert (_Packed(2, {30000: 1}, 30000) * _Packed(2, {35535: 1}, 35535)).terms == {
         _FIELD_MAX: 1
     }
     with pytest.raises(OverflowError):
-        _Packed({40000: 1}, 40000) * _Packed({40000: 1}, 40000)
+        _Packed(2, {40000: 1}, 40000) * _Packed(2, {40000: 1}, 40000)
     with pytest.raises(OverflowError):
-        _Packed({_FIELD_MAX: 1}, _FIELD_MAX) * _Q
+        _Packed(2, {_FIELD_MAX: 1}, _FIELD_MAX) * _Packed(2, {1: 1}, 1)
     # the bound, not the actual exponents, decides: a degree-bounded product
     # refuses even when its terms would fit
     with pytest.raises(OverflowError):
-        _Packed({1: 1}, 40000) * _Packed({1: 1}, 40000)
+        _Packed(2, {1: 1}, 40000) * _Packed(2, {1: 1}, 40000)
     # through the public path: p[1,0]^(2^16) restricts to a[3,1]^(2^16)
     with pytest.raises(OverflowError):
         restrict_polynomial(2, Polynomial.variable(plucker_var((1, 0)), _FIELD_MAX + 1))
@@ -403,6 +416,7 @@ _packed = st.dictionaries(
     max_size=5,
 ).map(
     lambda terms: _Packed(
+        3,
         {
             sum(exp << 16 * field for field, exp in enumerate(exps)): coeff
             for exps, coeff in terms.items()
@@ -414,11 +428,26 @@ _packed = st.dictionaries(
 
 @given(_packed, _packed)
 def test_packed_arithmetic_matches_polynomial(x, y):
+    plain_x, plain_y = _decode(x), _decode(y)
     for packed, expected in (
-        (x * y, _decode(3, x) * _decode(3, y)),
-        (x + y, _decode(3, x) + _decode(3, y)),
-        (x - y, _decode(3, x) - _decode(3, y)),
+        (x * y, plain_x * plain_y),
+        (x + y, plain_x + plain_y),
+        (x - y, plain_x - plain_y),
     ):
         assert 0 not in packed.terms.values()
-        assert _decode(3, packed) == expected
+        assert _decode(packed) == expected
     assert (x - y) * (x + y) == x * x - y * y
+    # mixed with a plain Polynomial, in both orders
+    for mixed, expected in (
+        (x * plain_y, plain_x * plain_y),
+        (plain_x * y, plain_x * plain_y),
+        (x + plain_y, plain_x + plain_y),
+        (plain_x + y, plain_x + plain_y),
+        (x - plain_y, plain_x - plain_y),
+        (plain_x - y, plain_x - plain_y),
+    ):
+        assert mixed.sorted_terms() == expected.sorted_terms()
+    assert x == plain_x and plain_x == x
+    assert (x == plain_y) == (plain_x == plain_y)
+    assert (x == 0) == (plain_x == 0) == (not plain_x)
+    assert x - x == 0
