@@ -81,7 +81,7 @@ def restrict(n, diagram_text, fmt):
         raise click.BadParameter(str(err), param_hint="'--diagram'") from None
     restricted = restrict_plucker(n, rows)
     if fmt == "json":
-        click.echo(json.dumps(restricted.to_json_terms()))
+        click.echo(restricted.to_json())
     elif fmt == "latex":
         click.echo(restricted.to_latex())
     else:

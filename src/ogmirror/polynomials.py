@@ -16,6 +16,7 @@ Rational expressions are unreduced numerator/denominator pairs; equality is
 decided by cross-multiplication, never by GCD cancellation.
 """
 
+import json
 from typing import Callable, Iterable
 
 _QUANTUM_KIND, _TORUS_KIND, _PLUCKER_KIND = 0, 1, 2
@@ -292,6 +293,10 @@ class Polynomial:
             {"coefficient": coeff, "exponents": {names[var]: exp for var, exp in mono}}
             for mono, coeff in self.sorted_terms()
         ]
+
+    def to_json(self) -> str:
+        """JSON text of to_json_terms."""
+        return json.dumps(self.to_json_terms())
 
     def __str__(self) -> str:
         return self.to_text()

@@ -31,6 +31,7 @@ from .diagrams import (
     diagram,
     empty_diagram,
     full_columns,
+    is_valid,
     staircase,
     staircase_prefix,
 )
@@ -43,6 +44,13 @@ class SuperpotentialTerm:
     numerator: Polynomial
     denominator: Polynomial
     quantum: bool = False
+
+
+def check_plucker(n: int, rows) -> None:
+    """Reject Plücker indices that are not full-length valid rank-n diagrams."""
+    if len(rows) != n or not is_valid(n, rows):
+        name = variable_name(plucker_var(rows))
+        raise ValueError(f"{name} is not a diagram of rank {n}")
 
 
 def plucker_poly(rows) -> Polynomial:
@@ -114,7 +122,8 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
 
     A variable p_τ maps to p of τ with the box added when that addition is
     valid and to 0 otherwise; products follow the Leibniz rule and the whole
-    map is linear.  Only polynomials in Plücker variables are accepted.
+    map is linear.  Only polynomials in Plücker variables indexed by
+    full-length rank-n diagrams are accepted.
     """
     check_rank(n)
     if not 0 <= i <= n:
@@ -129,6 +138,7 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
                         "derivation is defined on polynomials in Plücker"
                         f" variables only, found {variable_name(var)}"
                     )
+                check_plucker(n, var[1])
                 grown = add_box(n, var[1], label)
                 if grown is not None:
                     exps = Counter(dict(mono))

@@ -20,37 +20,40 @@ laurent_potential read, so a caller pays for the restrictions it reads.
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
 and the coordinates of one rank.  A monomial is a single Python int cut
-into 16-bit fields, least significant first: field 0 holds the exponent of
-q and field t+1 the exponent of the coordinate at word position t.
-Multiplying two monomials is adding their ints, and adding the box at
-position t to a build sequence is adding 1 << 16*(t+1).  A packed
-polynomial maps such ints to nonzero integer coefficients and carries an
-upper bound on its total degree, which bounds every field; a product whose
-bound would exceed 2^16 - 1 raises OverflowError instead of carrying one
-field into the next.  Equality is still decided by exact cross-multiplication.
+into 8-bit fields in canonical variable order, least significant first:
+field 0 holds the exponent of q and field k the exponent of the k-th
+coordinate in (label, column) order.  Multiplying two monomials is adding
+their ints, and adding the box at word position t to a build sequence is
+adding _position_bits(n)[t].  A packed polynomial maps such ints to nonzero
+integer coefficients and carries an upper bound on every field: 1 for a
+restriction (0 for the empty diagram's), the sum of the bounds for a
+product and their maximum for a sum.  A product whose bound would exceed
+255 raises OverflowError instead of carrying one field into the next.
+Equality is still decided by exact cross-multiplication.
 
 The packed polynomial is itself a Polynomial of its rank, and every function
 here returns one: it decodes its fields into tuple monomials only when read
-that way, and a restriction, squarefree with coefficient 1, renders from one
-sort on its exponent bytes.  restriction_residuals restricts each term's
-numerator and denominator once and decides every identity from those pairs.
+that way.  A key's little-endian bytes are its exponent row in canonical
+order, so a restriction, squarefree with coefficient 1, renders from one
+sort of those rows and one join per term.  restriction_residuals restricts
+each term's numerator and denominator once and decides every identity from
+those pairs.
 """
 
-import sys
+import json
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import compress
-from operator import itemgetter, or_
+from operator import or_
 
 from .diagrams import (
     Diagram,
     _label_table,
     _shrunk,
     all_diagrams,
-    box_count,
     check_rank,
     diagram,
     empty_diagram,
-    is_valid,
     staircase,
     staircase_prefix,
 )
@@ -61,13 +64,12 @@ from .polynomials import (
     _accumulate,
     is_plucker,
     is_quantum,
-    plucker_var,
     torus_var,
     variable_name,
 )
-from .potential import potential_term, superpotential
+from .potential import check_plucker, potential_term, superpotential
 
-_FIELD_BITS = 16
+_FIELD_BITS = 8
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
 
 
@@ -75,29 +77,59 @@ class _Packed(Polynomial):
     """Polynomial in q and the coordinates of rank n, on packed exponent ints.
 
     ``terms`` maps packed monomials to nonzero integer coefficients and is
-    never mutated; ``degree`` bounds the total degree of every term.  With a
+    never mutated; ``bound`` bounds every exponent of every term.  With a
     packed polynomial of the same rank, + - * and == stay packed; anything
     else goes through Polynomial, which reads the terms decoded once.
     """
 
-    __slots__ = ("n", "terms", "degree", "_tuple_terms")
+    __slots__ = ("n", "terms", "bound", "_tuple_terms")
 
-    def __init__(self, n: int, terms: dict, degree: int):
+    def __init__(self, n: int, terms: dict, bound: int):
         self.n = n
         self.terms = terms
-        self.degree = degree
+        self.bound = bound
         self._tuple_terms = None
 
     @property
     def _terms(self) -> dict:
         if self._tuple_terms is None:
-            getter, variables = _field_order(self.n)
-            fields = (getter(_fields(key, len(variables))) for key in self.terms)
+            variables = _variables(self.n)
             self._tuple_terms = {
-                tuple(zip(compress(variables, exps), compress(exps, exps))): coeff
-                for exps, coeff in zip(fields, self.terms.values())
+                tuple(zip(compress(variables, row), compress(row, row))): coeff
+                for row, coeff in zip(self._rows(self.terms), self.terms.values())
             }
         return self._tuple_terms
+
+    def _rows(self, keys) -> list:
+        """The exponent row of each key: one byte per field, field 0 first."""
+        count = len(_variables(self.n))
+        try:
+            return [key.to_bytes(count, "little") for key in keys]
+        except OverflowError:
+            union = reduce(or_, keys, 0)
+            message = f"packed key {union:#x} runs past the last field"
+            raise ValueError(message) from None
+
+    def _squarefree_rows(self) -> list | None:
+        """The exponent rows in canonical term order, or None.
+
+        When every term is squarefree with coefficient 1 and of one degree,
+        as in a restriction, the rows compared in descending order give
+        exactly the order Polynomial.sorted_terms gives, so one sort on them
+        replaces decoding and sorting tuple monomials.  Other polynomials
+        (and keys past the last field) return None.
+        """
+        ones = int.from_bytes(b"\1" * len(_variables(self.n)), "little")
+        keys = self.terms
+        if (
+            reduce(or_, keys, 0) | ones != ones
+            or len(set(map(int.bit_count, keys))) > 1
+            or not set(keys.values()) <= {1}
+        ):
+            return None
+        rows = self._rows(keys)
+        rows.sort(reverse=True)
+        return rows
 
     def _same_packing(self, other) -> bool:
         return isinstance(other, _Packed) and other.n == self.n
@@ -115,29 +147,29 @@ class _Packed(Polynomial):
 
     def __neg__(self) -> "_Packed":
         negated = {key: -coeff for key, coeff in self.terms.items()}
-        return _Packed(self.n, negated, self.degree)
+        return _Packed(self.n, negated, self.bound)
 
     def __add__(self, other):
         if not self._same_packing(other):
             return super().__add__(other)
         terms = dict(self.terms)
         _accumulate(terms, other.terms)
-        return _Packed(self.n, terms, max(self.degree, other.degree))
+        return _Packed(self.n, terms, max(self.bound, other.bound))
 
     def __mul__(self, other):
         if not self._same_packing(other):
             return super().__mul__(other)
-        degree = self.degree + other.degree
-        if degree > _FIELD_MAX:
+        bound = self.bound + other.bound
+        if bound > _FIELD_MAX:
             raise OverflowError(
-                f"product degree bound {degree} exceeds the packed field"
+                f"product exponent bound {bound} exceeds the packed field"
                 f" maximum {_FIELD_MAX}"
             )
         small, large = sorted((self.terms, other.terms), key=len)
         if len(small) == 1:
             ((shift, scale),) = small.items()
             terms = {key + shift: coeff * scale for key, coeff in large.items()}
-            return _Packed(self.n, terms, degree)
+            return _Packed(self.n, terms, bound)
         acc: dict = {}
         get = acc.get
         for k1, c1 in small.items():
@@ -145,42 +177,31 @@ class _Packed(Polynomial):
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
         terms = {key: coeff for key, coeff in acc.items() if coeff}
-        return _Packed(self.n, terms, degree)
-
-    def sorted_terms(self) -> list:
-        """Terms in canonical order, as Polynomial sorts them.
-
-        When every term is squarefree with coefficient 1 and of one degree,
-        as in a restriction, the exponent bytes in canonical variable order,
-        compared in descending order, give exactly that order, so one sort on
-        those bytes replaces decoding and sorting tuple monomials.
-        """
-        getter, variables = _field_order(self.n)
-        count = len(variables)
-        ones = sum(1 << _FIELD_BITS * field for field in range(count))
-        degree = next(iter(self.terms), 0).bit_count()
-        keys = []
-        for key, coeff in self.terms.items():
-            if coeff != 1 or key | ones != ones or key.bit_count() != degree:
-                return super().sorted_terms()
-            # every field is 0 or 1, so its low byte is the whole exponent
-            keys.append(bytes(getter(key.to_bytes(2 * count, "little")[::2])))
-        keys.sort(reverse=True)
-        factors = [(var, 1) for var in variables]
-        return [(tuple(compress(factors, exps)), 1) for exps in keys]
+        return _Packed(self.n, terms, bound)
 
     def variables(self) -> set:
         # a field is nonzero in the OR of all keys iff some term uses it
-        getter, variables = _field_order(self.n)
-        union = reduce(or_, self.terms, 0)
-        if union >> _FIELD_BITS * len(variables):
-            raise ValueError(f"packed key {union:#x} runs past the last field")
-        return set(compress(variables, getter(_fields(union, len(variables)))))
+        (row,) = self._rows([reduce(or_, self.terms, 0)])
+        return set(compress(_variables(self.n), row))
 
+    def _render(self, namer, times: str, power: str, minus: str) -> str:
+        rows = self._squarefree_rows()
+        if rows is None:
+            return super()._render(namer, times, power, minus)
+        names = [namer(var) for var in _variables(self.n)]
+        terms = (times.join(compress(names, row)) or "1" for row in rows)
+        return " + ".join(terms) or "0"
 
-def _position_bit(t: int) -> int:
-    """The packed monomial of the coordinate at word position t."""
-    return 1 << _FIELD_BITS * (t + 1)
+    def to_json(self) -> str:
+        rows = self._squarefree_rows()
+        if rows is None:
+            return super().to_json()
+        members = [json.dumps(variable_name(var)) + ": 1" for var in _variables(self.n)]
+        terms = (
+            '{"coefficient": 1, "exponents": {' + ", ".join(compress(members, row)) + "}}"
+            for row in rows
+        )
+        return "[" + ", ".join(terms) + "]"
 
 
 def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
@@ -191,16 +212,17 @@ def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _field_order(n: int) -> tuple[itemgetter, tuple]:
-    """Getter of the fields in canonical variable order, and those variables."""
-    variables = [QUANTUM] + [torus_var(label, col) for label, col in reduced_word(n)]
-    order = sorted(range(len(variables)), key=variables.__getitem__)
-    return itemgetter(*order), tuple(variables[f] for f in order)
+def _variables(n: int) -> tuple:
+    """The variable of each packed field: q, then the coordinates in order."""
+    return (QUANTUM,) + tuple(torus_var(*box) for box in sorted(reduced_word(n)))
 
 
-def _fields(key: int, count: int) -> memoryview:
-    """The 16-bit exponent fields of a packed monomial, field 0 first."""
-    return memoryview(key.to_bytes(2 * count, sys.byteorder)).cast("H")
+@lru_cache(maxsize=None)
+def _position_bits(n: int) -> tuple[int, ...]:
+    """The packed monomial of the coordinate at each word position."""
+    word = reduced_word(n)
+    field = {box: k for k, box in enumerate(sorted(word), 1)}
+    return tuple(1 << _FIELD_BITS * field[box] for box in word)
 
 
 def _path_sums(n: int, targets) -> dict:
@@ -227,8 +249,7 @@ def _path_sums(n: int, targets) -> dict:
         steps.append((live, removals))
         live = live.union(smaller for _, smaller in removals)
     state = {empty_diagram(n): {0: 1}}
-    for t, (ahead, removals) in enumerate(reversed(steps)):
-        shift = _position_bit(t)
+    for shift, (ahead, removals) in zip(_position_bits(n), reversed(steps)):
         next_state = {rows: terms for rows, terms in state.items() if rows in ahead}
         for rows, smaller in removals:
             terms = state.get(smaller)
@@ -238,7 +259,7 @@ def _path_sums(n: int, targets) -> dict:
                     _accumulate(moved, next_state[rows])
                 next_state[rows] = moved
         state = next_state
-    return {rows: _Packed(n, state[rows], box_count(rows)) for rows in targets}
+    return {rows: _Packed(n, state[rows], int(any(rows))) for rows in targets}
 
 
 def restrict_all(n: int) -> dict:
@@ -266,9 +287,7 @@ def _restriction_table(n: int, polys, *extra: Diagram) -> dict:
     """
     targets = {var[1] for poly in polys for var in poly.variables() if is_plucker(var)}
     for rows in sorted(targets):
-        if len(rows) != n or not is_valid(n, rows):
-            name = variable_name(plucker_var(rows))
-            raise ValueError(f"{name} is not a diagram of rank {n}")
+        check_plucker(n, rows)
     return _path_sums(n, targets.union(extra))
 
 
@@ -278,7 +297,7 @@ def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
     table holds the path sum of every Plücker variable of poly.
     """
     acc: dict = {}
-    degree = 0
+    bound = 0
     for mono, coeff in poly.sorted_terms():
         piece = _Packed(n, {0: coeff}, 0)
         for var, exp in mono:
@@ -291,8 +310,8 @@ def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
             for _ in range(exp):
                 piece = piece * factor
         _accumulate(acc, piece.terms)
-        degree = max(degree, piece.degree)
-    return _Packed(n, acc, degree)
+        bound = max(bound, piece.bound)
+    return _Packed(n, acc, bound)
 
 
 def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
@@ -327,7 +346,11 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
     else:  # also index 1, whose first ell_0 = 0 positions add nothing
         positions = [*range((i - 1) * i // 2)]
         positions += [t for t in range(len(word)) if word[t][1] <= i]
-    return _Packed(n, {sum(map(_position_bit, positions)): 1}, len(positions))
+    # a middle index reads the positions of the first rows twice
+    uses = Counter(positions)
+    bits = _position_bits(n)
+    key = sum(bits[t] * count for t, count in uses.items())
+    return _Packed(n, {key: 1}, max(uses.values(), default=0))
 
 
 def term_restriction_factor(n: int, i: int) -> Polynomial:
@@ -337,7 +360,8 @@ def term_restriction_factor(n: int, i: int) -> Polynomial:
         raise ValueError(f"term index {i} outside 0..{n}")
     label = n + 1 - i
     positions = [t for t, (lab, _) in enumerate(reduced_word(n)) if lab == label]
-    return _Packed(n, dict.fromkeys(map(_position_bit, positions), 1), 1)
+    bits = _position_bits(n)
+    return _Packed(n, dict.fromkeys([bits[t] for t in positions], 1), 1)
 
 
 def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
@@ -366,7 +390,7 @@ def verify_term_restriction(n: int, i: int) -> bool:
 
 def coordinate_sum(n: int) -> Polynomial:
     """The sum of all torus coordinates a[label, column]."""
-    return _Packed(n, {_position_bit(t): 1 for t in range(len(reduced_word(n)))}, 1)
+    return _Packed(n, dict.fromkeys(_position_bits(n), 1), 1)
 
 
 def _laurent_diagrams(n: int) -> tuple[Diagram, Diagram]:

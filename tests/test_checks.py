@@ -7,7 +7,9 @@ One more control corrupts a single entry of the restriction table instead.
 Two battery controls break a term so that a check outside the restriction
 path cannot even compute its value, and a third so that no term can be
 restricted; they run the whole battery with checks.superpotential patched,
-and the checks must fail, not raise.
+and the checks must fail, not raise.  A fourth spells one denominator's
+Plücker variable without its trailing zero, which the derivation must
+reject as the restriction does.
 """
 
 import dataclasses
@@ -134,6 +136,19 @@ def invalid_plucker_variable(n):
     return terms, restriction | {("derivation_identity", 0)}
 
 
+def trimmed_plucker_spelling(n):
+    """Term n's denominator p[1,2,...,n-1,0] spelt without its trailing zero:
+    neither the derivation nor the restriction accepts it."""
+    terms = superpotential(n)
+    (var,) = terms[n].denominator.variables()
+    short = Polynomial.variable(plucker_var(var[1][:-1]))
+    terms[n] = dataclasses.replace(terms[n], denominator=short)
+    restriction = {("denominator_restriction", i) for i in range(n + 2)}
+    restriction |= {("term_restriction", i) for i in range(n + 1)}
+    restriction.add(("laurent_assembly", None))
+    return terms, restriction | {("derivation_identity", n)}
+
+
 def _failures(results):
     return {(result.name, result.index) for result in results if not result.passed}
 
@@ -197,6 +212,17 @@ def test_battery_fails_every_restriction_check_on_an_invalid_diagram(n, monkeypa
     assert _failures(restriction_checks(n, terms)) == expected - {("derivation_identity", 0)}
 
 
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_battery_fails_the_derivation_on_a_trimmed_diagram(n, monkeypatch):
+    terms, expected = trimmed_plucker_spelling(n)
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(terms))
+    results = run_checks(n)
+    assert _failures(results) == expected
+    error = "p[" + ",".join(map(str, range(1, n))) + f"] is not a diagram of rank {n}"
+    details = {result.detail for result in results if not result.passed}
+    assert details == {error, f"term {n}: {error}"}
+
+
 @pytest.mark.parametrize("n", (2, 3, 6))
 def test_each_term_is_restricted_once(n, monkeypatch):
     calls = []
@@ -228,7 +254,7 @@ def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):
         read.append((entry, dict(entry.terms)))
         kept = dict(entry.terms)
         del kept[min(kept)]
-        return {**table, rows: torus._Packed(rank, kept, entry.degree)}
+        return {**table, rows: torus._Packed(rank, kept, entry.bound)}
 
     monkeypatch.setattr(torus, "_path_sums", corrupted_path_sums)
     expected = {

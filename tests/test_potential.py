@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ogmirror import potential
@@ -138,6 +140,14 @@ def test_box_derivation_rejects_other_variables():
         box_derivation(4, 1, Polynomial.variable(QUANTUM) * p(1, 0, 0, 0))
     with pytest.raises(ValueError):
         box_derivation(4, 5, p(1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("rows", ((1, 1), (2, 0, 0, 0), (1, 1, 0, 0, 0)))
+def test_box_derivation_rejects_variables_that_are_not_diagrams(rows):
+    # the short spelling p[1,1] of p[1,1,0,0] included, as restriction does
+    name = "p[" + ",".join(map(str, rows)) + "]"
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} is not a diagram of rank 4$"):
+        box_derivation(4, 3, p(1, 2, 0, 0) * p(*rows))
 
 
 def test_potential_term_goldens_n4():

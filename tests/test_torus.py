@@ -49,13 +49,25 @@ def p(*rows):
     return Polynomial.variable(plucker_var(rows))
 
 
+def _field_variables(n):
+    """q, then the rank-n coordinates in (label, column) order: one per field."""
+    return [QUANTUM] + [torus_var(*box) for box in sorted(reduced_word(n))]
+
+
 def _decode(packed):
     """The plain Polynomial a packed one stands for, read field by field."""
-    variables = [QUANTUM] + [torus_var(*box) for box in reduced_word(packed.n)]
+    variables = _field_variables(packed.n)
+    assert all(key >> 8 * len(variables) == 0 for key in packed.terms)
     return Polynomial(
-        (coeff, {var: key >> 16 * field & 0xFFFF for field, var in enumerate(variables)})
+        (coeff, {var: key >> 8 * field & 0xFF for field, var in enumerate(variables)})
         for key, coeff in packed.terms.items()
     )
+
+
+def _largest_exponent(packed):
+    """The largest byte-wide field of any key of a packed polynomial."""
+    count = len(_field_variables(packed.n))
+    return max((max(key.to_bytes(count, "little")) for key in packed.terms), default=0)
 
 
 # the rank-4 torus restriction of phi_3, frozen from the worked example
@@ -272,7 +284,7 @@ def test_single_target_path_sums_match_restrict_all(n):
     for rows in all_diagrams(n):
         (single,) = _path_sums(n, (rows,)).values()
         assert single == table[rows]
-        assert single.degree == table[rows].degree
+        assert single.bound == table[rows].bound
     # a target set returns exactly its targets
     some = all_diagrams(n)[1::3]
     picked = _path_sums(n, some)
@@ -312,7 +324,7 @@ def test_target_subsets_match_the_full_table(case):
     full = _full_table(n)
     for rows, packed in picked.items():
         assert packed.terms == full[rows].terms
-        assert packed.degree == full[rows].degree
+        assert packed.bound == full[rows].bound
 
 
 def test_restriction_scans_removable_boxes_only(monkeypatch):
@@ -340,60 +352,115 @@ def test_subsequence_count_matches_restriction_sizes():
             assert subsequence_count(n, rows) == table[rows].term_count()
 
 
+def _assert_renders_like(packed, plain):
+    """packed renders in every format exactly as its decoded polynomial.
+
+    Mismatches are reported by name: a diff of two large renderings would
+    take minutes to print.
+    """
+    assert type(plain) is Polynomial
+    text = packed.to_json()
+    renderings = (
+        ("sorted_terms", packed.sorted_terms(), plain.sorted_terms()),
+        ("variables", packed.variables(), plain.variables()),
+        ("to_text", packed.to_text(), plain.to_text()),
+        ("to_latex", packed.to_latex(), plain.to_latex()),
+        ("to_json_terms", packed.to_json_terms(), plain.to_json_terms()),
+        ("to_json", text, json.dumps(plain.to_json_terms())),
+        ("plain to_json", plain.to_json(), json.dumps(plain.to_json_terms())),
+        ("to_json round trip", json.loads(text), plain.to_json_terms()),
+    )
+    assert [name for name, got, expected in renderings if got != expected] == []
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_restriction_renders_like_its_polynomial(n):
     for rows in all_diagrams(n):
         restricted = restrict_plucker(n, rows)
-        plain = _decode(restricted)
-        assert type(plain) is Polynomial
-        assert restricted.sorted_terms() == plain.sorted_terms()
-        assert restricted.variables() == plain.variables()
-        assert restricted.to_text() == plain.to_text()
-        assert restricted.to_latex() == plain.to_latex()
-        packed_json = json.dumps(restricted.to_json_terms())
-        assert packed_json == json.dumps(plain.to_json_terms())
+        _assert_renders_like(restricted, _decode(restricted))
+
+
+def test_largest_rank9_restriction_renders_like_its_polynomial():
+    table = restrict_all(9)
+    largest = max(table, key=lambda rows: table[rows].term_count())
+    restricted = restrict_plucker(9, largest)
+    assert restricted.term_count() == subsequence_count(9, largest) == 12_870
+    _assert_renders_like(restricted, _decode(restricted))
+
+
+def test_packed_rendering_edge_cases():
+    empty = restrict_plucker(4, (0, 0, 0, 0))
+    assert empty.to_text() == empty.to_latex() == "1"
+    assert empty.to_json() == '[{"coefficient": 1, "exponents": {}}]'
+    zero = _Packed(4, {}, 0)
+    assert zero.to_text() == zero.to_latex() == "0"
+    assert zero.to_json() == "[]"
+    # q a[5,1] against a[1,1] a[2,1]: q is the least variable, so its term
+    # comes first although a[1,1] precedes a[5,1]
+    a11, a21, a51 = (1 << 8 * _field_variables(4).index(torus_var(*box))
+                     for box in ((1, 1), (2, 1), (5, 1)))
+    carrying_q = _Packed(4, {a11 + a21: 1, 1 + a51: 1}, 1)
+    assert carrying_q.to_text() == "q*a[5,1] + a[1,1]*a[2,1]"
+    assert carrying_q.to_latex() == "q a_{5,1} + a_{1,1} a_{2,1}"
+    for packed in (empty, zero, carrying_q):
+        _assert_renders_like(packed, _decode(packed))
 
 
 @pytest.mark.parametrize(
     "terms",
     (
-        {2 << 16: 1},  # a[5,1]^2 at rank 4
-        {1 << 16: 2},  # coefficient 2
-        {1 << 16: -1},  # coefficient -1
-        {1 << 16: 1, (1 << 32) + (1 << 48): 1},  # degrees 1 and 2
+        {2 << 8: 1},  # a[1,1]^2 at rank 4
+        {1 << 8: 2},  # coefficient 2
+        {1 << 8: -1},  # coefficient -1
+        {1 << 8: 1, (1 << 16) + (1 << 24): 1},  # degrees 1 and 2
     ),
 )
 def test_packed_rendering_refuses_what_it_cannot_order(terms):
     """Terms the byte sort cannot order render from their decoded monomials."""
     packed = _Packed(4, terms, 2)
-    plain = _decode(packed)
-    assert packed.sorted_terms() == plain.sorted_terms()
-    assert packed.to_text() == plain.to_text()
-    assert packed.to_latex() == plain.to_latex()
-    assert packed.to_json_terms() == plain.to_json_terms()
+    _assert_renders_like(packed, _decode(packed))
 
 
 def test_packed_rendering_refuses_keys_past_the_last_field():
-    restricted = _Packed(4, {1 << 16 * 11: 1}, 1)
-    with pytest.raises(ValueError):
-        restricted.to_text()
+    # rank 4 has 11 fields: q and ten coordinates; a ValueError, not the
+    # OverflowError of int.to_bytes
+    for key in (1 << 8 * 11, (1 << 8 * 11) + 1, 1 << 8 * 40):
+        packed = _Packed(4, {key: 1}, 1)
+        for render in (
+            packed.to_text,
+            packed.to_latex,
+            packed.to_json,
+            packed.to_json_terms,
+            packed.sorted_terms,
+            packed.variables,
+        ):
+            with pytest.raises(ValueError, match="runs past the last field"):
+                render()
 
 
 def test_packed_product_refuses_field_overflow():
     # q^a * q^b lands in field 0; a + b past the field width must raise, not
-    # carry into the field of the first word position.
-    assert (_Packed(2, {30000: 1}, 30000) * _Packed(2, {35535: 1}, 35535)).terms == {
+    # carry into the field of the first coordinate.
+    assert (_Packed(2, {100: 1}, 100) * _Packed(2, {155: 1}, 155)).terms == {
         _FIELD_MAX: 1
     }
+    assert _FIELD_MAX == 255
     with pytest.raises(OverflowError):
-        _Packed(2, {40000: 1}, 40000) * _Packed(2, {40000: 1}, 40000)
+        _Packed(2, {200: 1}, 200) * _Packed(2, {200: 1}, 200)
     with pytest.raises(OverflowError):
         _Packed(2, {_FIELD_MAX: 1}, _FIELD_MAX) * _Packed(2, {1: 1}, 1)
-    # the bound, not the actual exponents, decides: a degree-bounded product
+    # the bound, not the actual exponents, decides: a bounded product
     # refuses even when its terms would fit
     with pytest.raises(OverflowError):
-        _Packed(2, {1: 1}, 40000) * _Packed(2, {1: 1}, 40000)
-    # through the public path: p[1,0]^(2^16) restricts to a[3,1]^(2^16)
+        _Packed(2, {1: 1}, 200) * _Packed(2, {1: 1}, 200)
+    # the bound is per field, not on the total degree: the sixth power of
+    # the 45-coordinate staircase monomial has degree 270 but field bound 6
+    full = restrict_plucker(9, staircase(9))
+    power = full * full * full * full * full * full
+    assert power.bound == 6
+    assert power == _decode(full) ** 6
+    assert sum(exp for _, exp in power.sorted_terms()[0][0]) == 270 > _FIELD_MAX
+    # through the public path: p[1,0]^256 restricts to a[3,1]^256
     with pytest.raises(OverflowError):
         restrict_polynomial(2, Polynomial.variable(plucker_var((1, 0)), _FIELD_MAX + 1))
     assert restrict_polynomial(
@@ -401,14 +468,51 @@ def test_packed_product_refuses_field_overflow():
     ) == Polynomial.variable(torus_var(3, 1), _FIELD_MAX)
 
 
-def test_packed_restrictions_carry_box_count_degree():
+def test_packed_restrictions_carry_field_bound():
+    # every restriction is squarefree: field bound 1, and 0 for the empty
+    # diagram, whose restriction is the constant 1
     for rows, packed in restrict_all(5).items():
-        assert packed.degree == box_count(rows)
+        assert packed.bound == (1 if any(rows) else 0)
+        assert _largest_exponent(packed) == packed.bound
         assert packed.term_count() == restrict_plucker(5, rows).term_count()
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_position_bits_use_each_coordinate_field_once_in_canonical_order(n):
+    word = reduced_word(n)
+    bits = torus._position_bits(n)
+    assert len(bits) == len(word)
+    fields = [(bit.bit_length() - 1) // 8 for bit in bits]
+    assert bits == tuple(1 << 8 * field for field in fields)
+    assert sorted(fields) == list(range(1, len(word) + 1))
+    variables = _field_variables(n)
+    assert [variables[field] for field in fields] == [torus_var(*box) for box in word]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_restriction_residuals_stay_within_the_field_bound(n, monkeypatch):
+    built = []
+    init = _Packed.__init__
+
+    def recording_init(self, rank, terms, bound):
+        init(self, rank, terms, bound)
+        built.append(self)
+
+    monkeypatch.setattr(_Packed, "__init__", recording_init)
+    denominator_residuals, term_residuals, holds = restriction_residuals(
+        n, superpotential(n)
+    )
+    assert holds and not any(denominator_residuals) and not any(term_residuals)
+    assert all(_largest_exponent(packed) <= packed.bound for packed in built)
+    # the Laurent cross-multiplication reaches 2n + 1, far below the field
+    # maximum, and some exponent attains it
+    assert max(packed.bound for packed in built) == 2 * n + 1
+    assert max(map(_largest_exponent, built)) == 2 * n + 1
+
+
 # Packed polynomials in q and the six rank-3 coordinates: field exponents
-# 0..3, so cancellations and repeated factors both occur.
+# 0..3 under the field bound 3, so cancellations and repeated factors both
+# occur.
 _RANK3_FIELDS = 1 + len(reduced_word(3))
 _packed = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * _RANK3_FIELDS),
@@ -418,10 +522,10 @@ _packed = st.dictionaries(
     lambda terms: _Packed(
         3,
         {
-            sum(exp << 16 * field for field, exp in enumerate(exps)): coeff
+            sum(exp << 8 * field for field, exp in enumerate(exps)): coeff
             for exps, coeff in terms.items()
         },
-        max(map(sum, terms), default=0),
+        max(map(max, terms), default=0),
     )
 )
 
