@@ -219,9 +219,6 @@ class Polynomial:
         """Terms in the canonical order (lexicographic on sorted monomials)."""
         return sorted(self._terms.items())
 
-    def coefficient(self, exponents: dict) -> int:
-        return self._terms.get(_monomial(exponents), 0)
-
     def term_count(self) -> int:
         return len(self._terms)
 

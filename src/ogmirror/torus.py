@@ -9,7 +9,10 @@ first t positions, R_0 is 1 on the empty diagram and 0 elsewhere, and
 
     R_{t+1}(D) = R_t(D) + a_t * R_t(D minus the box of position t's label),
 
-the second summand counting only when that box is removable from D.  One
+the second summand counting only when that box is removable from D.  Only
+that summand uses a_t, so the two share no monomial: each R_t(D) is a
+disjoint union of coefficient-1 monomials, one per admissible subsequence,
+and the recurrence concatenates key lists without any arithmetic.  One
 dynamic program evaluates this for a set of target diagrams and only those:
 a backward pass marks the diagrams that can still grow into a target,
 scanning each once for its removable boxes, and the forward pass replays
@@ -29,7 +32,6 @@ integer coefficients and carries an upper bound on every field: 1 for a
 restriction (0 for the empty diagram's), the sum of the bounds for a
 product and their maximum for a sum.  A product whose bound would exceed
 255 raises OverflowError instead of carrying one field into the next.
-Equality is still decided by exact cross-multiplication.
 
 The packed polynomial is itself a Polynomial of its rank, and every function
 here returns one: it decodes its fields into tuple monomials only when read
@@ -37,13 +39,14 @@ that way.  A key's little-endian bytes are its exponent row in canonical
 order, so a restriction, squarefree with coefficient 1, renders from one
 sort of those rows and one join per term.  restriction_residuals restricts
 each term's numerator and denominator once and decides every identity from
-those pairs.
+those pairs; the restricted quotients add, and compare with the Laurent
+form, as RationalExpression does, by exact cross-multiplication.
 """
 
 import json
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import compress, starmap
 from operator import or_
 
 from .diagrams import (
@@ -232,7 +235,10 @@ def _path_sums(n: int, targets) -> dict:
     only.  The backward pass records, per position t, the diagrams that can
     still grow into a target after t and the removals of t's label from
     them, scanning each diagram once; the forward pass keeps each live
-    diagram's terms and replays the removals, shifting by t's field.
+    diagram's packed keys and replays the removals, appending the smaller
+    diagram's keys shifted by t's field.  The two summands are disjoint and
+    every coefficient is 1, so the lists are concatenated, never merged,
+    and each target's list becomes a packed polynomial once, at the end.
     """
     word = reduced_word(n)
     shrink: dict = {}
@@ -248,18 +254,19 @@ def _path_sums(n: int, targets) -> dict:
                 removals.append((rows, smaller))
         steps.append((live, removals))
         live = live.union(smaller for _, smaller in removals)
-    state = {empty_diagram(n): {0: 1}}
+    state = {empty_diagram(n): [0]}
     for shift, (ahead, removals) in zip(_position_bits(n), reversed(steps)):
-        next_state = {rows: terms for rows, terms in state.items() if rows in ahead}
+        next_state = {rows: keys for rows, keys in state.items() if rows in ahead}
         for rows, smaller in removals:
-            terms = state.get(smaller)
-            if terms is not None:
-                moved = {key + shift: coeff for key, coeff in terms.items()}
-                if rows in next_state:
-                    _accumulate(moved, next_state[rows])
-                next_state[rows] = moved
+            keys = state.get(smaller)
+            if keys is not None:
+                moved = [key + shift for key in keys]
+                next_state[rows] = next_state.get(rows, []) + moved
         state = next_state
-    return {rows: _Packed(n, state[rows], int(any(rows))) for rows in targets}
+    return {
+        rows: _Packed(n, dict.fromkeys(state[rows], 1), int(any(rows)))
+        for rows in targets
+    }
 
 
 def restrict_all(n: int) -> dict:
@@ -296,8 +303,7 @@ def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
 
     table holds the path sum of every Plücker variable of poly.
     """
-    acc: dict = {}
-    bound = 0
+    total = _Packed(n, {}, 0)
     for mono, coeff in poly.sorted_terms():
         piece = _Packed(n, {0: coeff}, 0)
         for var, exp in mono:
@@ -309,9 +315,8 @@ def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
                 raise ValueError(f"input already contains the torus variable {var!r}")
             for _ in range(exp):
                 piece = piece * factor
-        _accumulate(acc, piece.terms)
-        bound = max(bound, piece.bound)
-    return _Packed(n, acc, bound)
+        total = total + piece
+    return total
 
 
 def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
@@ -398,9 +403,10 @@ def _laurent_diagrams(n: int) -> tuple[Diagram, Diagram]:
     return staircase(n), staircase_prefix(n, n - 2)
 
 
-def _laurent_potential(n: int, table: dict) -> tuple[_Packed, _Packed]:
+def _laurent_potential(n: int, table: dict) -> RationalExpression:
     full, prefix = (table[rows] for rows in _laurent_diagrams(n))
-    return coordinate_sum(n) * full + _Packed(n, {1: 1}, 1) * prefix, full
+    quantum = _Packed(n, {1: 1}, 1) * prefix
+    return RationalExpression(coordinate_sum(n) * full + quantum, full)
 
 
 def laurent_potential(n: int) -> RationalExpression:
@@ -411,24 +417,14 @@ def laurent_potential(n: int) -> RationalExpression:
     over the full staircase monomial, so the whole expression is a Laurent
     polynomial in the torus coordinates.
     """
-    table = _path_sums(n, _laurent_diagrams(n))
-    return RationalExpression(*_laurent_potential(n, table))
-
-
-def _restricted_term_sum(n: int, pairs) -> tuple[_Packed, _Packed]:
-    """Unreduced sum of restricted quotients, as RationalExpression adds."""
-    numerator, denominator = _Packed(n, {}, 0), _Packed(n, {0: 1}, 0)
-    for term_numerator, term_denominator in pairs:
-        numerator = numerator * term_denominator + term_numerator * denominator
-        denominator = denominator * term_denominator
-    return numerator, denominator
+    return _laurent_potential(n, _path_sums(n, _laurent_diagrams(n)))
 
 
 def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
-    terms = superpotential(n)
-    _, pairs = _restricted_pairs(n, terms)
-    return RationalExpression(*_restricted_term_sum(n, pairs))
+    _, pairs = _restricted_pairs(n, superpotential(n))
+    zero = RationalExpression(_Packed(n, {}, 0), _Packed(n, {0: 1}, 0))
+    return sum(starmap(RationalExpression, pairs), zero)
 
 
 def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
@@ -437,12 +433,13 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     Returns (denominator residuals, term residuals, Laurent verdict): per
     term, restrict(denominator) minus predicted_denominator_restriction;
     per term of index i <= n, restrict(numerator) minus restrict(denominator)
-    times term_restriction_factor; and whether the restricted terms add up
-    to laurent_potential(n) by exact cross-multiplication.  A residual is
-    zero iff its identity holds.  One dynamic program restricts exactly the
-    diagrams these identities read: the Plücker variables of the terms and
-    the two diagrams of laurent_potential.  A Plücker variable that is not
-    a diagram of rank n raises ValueError.
+    times term_restriction_factor; and whether the restricted terms, added
+    as rational expressions, equal laurent_potential(n).  The verdict is
+    False when some denominator restricts to zero, as no quotient exists.
+    A residual is zero iff its identity holds.  One dynamic program
+    restricts exactly the diagrams these identities read: the Plücker
+    variables of the terms and the two diagrams of laurent_potential.  A
+    Plücker variable that is not a diagram of rank n raises ValueError.
     """
     table, pairs = _restricted_pairs(n, terms, *_laurent_diagrams(n))
     denominator_residuals = [
@@ -453,7 +450,8 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
         numerator - denominator * term_restriction_factor(n, term.index)
         for term, (numerator, denominator) in zip(terms[: n + 1], pairs)
     ]
-    numerator, denominator = _restricted_term_sum(n, pairs)
-    laurent_numerator, laurent_denominator = _laurent_potential(n, table)
-    holds = numerator * laurent_denominator == laurent_numerator * denominator
+    zero = RationalExpression(_Packed(n, {}, 0), _Packed(n, {0: 1}, 0))
+    holds = all(denominator for _, denominator in pairs) and (
+        sum(starmap(RationalExpression, pairs), zero) == _laurent_potential(n, table)
+    )
     return denominator_residuals, term_residuals, holds

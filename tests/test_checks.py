@@ -9,7 +9,9 @@ path cannot even compute its value, and a third so that no term can be
 restricted; they run the whole battery with checks.superpotential patched,
 and the checks must fail, not raise.  A fourth spells one denominator's
 Plücker variable without its trailing zero, which the derivation must
-reject as the restriction does.
+reject as the restriction does.  A zero denominator, whose quotient does
+not exist, runs both ways: through the restriction checks and through the
+patched battery.
 """
 
 import dataclasses
@@ -88,12 +90,24 @@ def wrong_derivation_label(n):
     return terms, {("term_restriction", 2), ("laurent_assembly", None)}
 
 
+def zero_denominator(n):
+    """Term 2's denominator replaced by zero: no restricted quotient exists."""
+    terms = superpotential(n)
+    terms[2] = dataclasses.replace(terms[2], denominator=Polynomial.zero())
+    return terms, {
+        ("denominator_restriction", 2),
+        ("term_restriction", 2),
+        ("laurent_assembly", None),
+    }
+
+
 CONTROLS = (
     flipped_numerator_sign,
     dropped_denominator_pair,
     quantum_on_wrong_term,
     flipped_level_sign,
     wrong_derivation_label,
+    zero_denominator,
 )
 
 
@@ -198,6 +212,19 @@ def test_battery_fails_a_check_that_cannot_compute(n, control, monkeypatch):
     ]
     assert raised.detail.startswith("term 2: ")
     assert "\n" not in raised.detail
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_battery_fails_on_a_zero_denominator(n, monkeypatch):
+    terms, expected = zero_denominator(n)
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(terms))
+    results = run_checks(n)
+    assert _failures(results) == expected | {
+        ("degree_sum", None),
+        ("derivation_identity", 2),
+    }
+    (degree_sum,) = [result for result in results if result.name == "degree_sum"]
+    assert degree_sum.detail == "term 2: zero polynomial has no Plücker degree"
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))
