@@ -63,8 +63,8 @@ def _diagram_count(n):
 def _unique_positions(n):
     bad = []
     for rows in all_diagrams(n):
-        fits = Counter([(cell.label, "addable") for cell in _addable_cells(n, rows)])
-        fits.update((cell.label, "removable") for cell in _removable_cells(n, rows))
+        fits = Counter([(label, "addable") for _, _, label in _addable_cells(n, rows)])
+        fits.update((label, "removable") for _, _, label in _removable_cells(n, rows))
         repeated = sorted(key for key, count in fits.items() if count > 1)
         bad += [(kind, rows, label) for label, kind in repeated]
     return CheckResult(

@@ -126,8 +126,9 @@ def _check_label(n: int, label: int) -> None:
         raise ValueError(f"label {label} outside 1..{n + 1}")
 
 
-def _addable_cells(n: int, rows: Diagram) -> list[LabeledBox]:
-    """Every cell of a valid diagram where a box can be added, top row first.
+def _addable_cells(n: int, rows: Diagram) -> list[tuple[int, int, int]]:
+    """(row, col, label) of every cell of a valid diagram where a box can be
+    added, top row first.
 
     Only the cell just past the end of a row can qualify (anything further
     right would leave an empty space to its left).  Growing row r only
@@ -136,17 +137,18 @@ def _addable_cells(n: int, rows: Diagram) -> list[LabeledBox]:
     """
     labels = _label_table(n)
     return [
-        LabeledBox(r, c + 1, labels[r - 1][c])
+        (r, c + 1, labels[r - 1][c])
         for r, (above, c) in enumerate(zip((0,) + rows, rows), 1)
         if c < r and (above > c or above == r - 1)
     ]
 
 
-def _removable_cells(n: int, rows: Diagram) -> list[LabeledBox]:
-    """Every box of a valid diagram with nothing to its right nor below it."""
+def _removable_cells(n: int, rows: Diagram) -> list[tuple[int, int, int]]:
+    """(row, col, label) of every box of a valid diagram with nothing to its
+    right nor below it, top row first."""
     labels = _label_table(n)
     return [
-        LabeledBox(r, c, labels[r - 1][c - 1])
+        (r, c, labels[r - 1][c - 1])
         for r, (c, below) in enumerate(zip(rows, rows[1:] + (0,)), 1)
         if below < c
     ]
@@ -176,14 +178,14 @@ def addable_positions(n: int, rows, label: int) -> list[LabeledBox]:
     """Open cells with this label where adding a box keeps the diagram valid."""
     rows = diagram(n, rows)
     _check_label(n, label)
-    return [cell for cell in _addable_cells(n, rows) if cell.label == label]
+    return [LabeledBox(*cell) for cell in _addable_cells(n, rows) if cell[2] == label]
 
 
 def removable_positions(n: int, rows, label: int) -> list[LabeledBox]:
     """Boxes with this label having no box to their right nor below them."""
     rows = diagram(n, rows)
     _check_label(n, label)
-    return [cell for cell in _removable_cells(n, rows) if cell.label == label]
+    return [LabeledBox(*cell) for cell in _removable_cells(n, rows) if cell[2] == label]
 
 
 def add_box(n: int, rows, label: int) -> Diagram | None:
@@ -260,7 +262,7 @@ def hasse_edges(n: int) -> tuple[tuple[Diagram, Diagram, int], ...]:
 
 def format_diagram(rows) -> str:
     """Canonical text form: comma-separated row lengths, e.g. "1,2,1,0"."""
-    return ",".join(str(c) for c in rows)
+    return ",".join(map(str, rows))
 
 
 def parse_diagram(n: int, text: str) -> Diagram:

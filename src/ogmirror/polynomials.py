@@ -52,7 +52,7 @@ def variable_name(var: Variable) -> str:
         return "q"
     if kind == _TORUS_KIND:
         return f"a[{var[1]},{var[2]}]"
-    return "p[" + ",".join(str(c) for c in var[1]) + "]"
+    return "p[" + ",".join(map(str, var[1])) + "]"
 
 
 def variable_latex(var: Variable) -> str:
@@ -67,7 +67,7 @@ def variable_latex(var: Variable) -> str:
         rows.pop()
     if not rows:
         return r"p_{\varnothing}"
-    return "p_{(" + ",".join(str(c) for c in rows) + ")}"
+    return "p_{(" + ",".join(map(str, rows)) + ")}"
 
 
 def _integer(value, what: str) -> int:

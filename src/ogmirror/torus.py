@@ -13,12 +13,18 @@ the second summand counting only when that box is removable from D.  Only
 that summand uses a_t, so the two share no monomial: each R_t(D) is a
 disjoint union of coefficient-1 monomials, one per admissible subsequence,
 and the recurrence concatenates key lists without any arithmetic.  One
-dynamic program evaluates this for a set of target diagrams and only those:
-a backward pass marks the diagrams that can still grow into a target,
-scanning each once for its removable boxes, and the forward pass replays
-the removals that scan found.  restrict_all targets every diagram,
-restrict_plucker one, and restriction_residuals the diagrams its terms and
-laurent_potential read, so a caller pays for the restrictions it reads.
+dynamic program evaluates this for a set of target diagrams and only those.
+A backward pass over the word finds the live diagrams, those that can still
+grow into a target: it scans each once, when it becomes live, for its
+removable boxes and files it under each label it can lose, so the removals
+at a position are the live diagrams filed under its label, with no test of
+the others.  The forward pass replays those removals and drops each diagram
+right after the last position that reads it, the position where the backward
+pass made it live.  Both passes cost in proportion to the removals and the
+keys moved, not to positions times live diagrams.  restrict_all targets
+every diagram, restrict_plucker one, and restriction_residuals the diagrams
+its terms and laurent_potential read, so a caller pays for the restrictions
+it reads.
 
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
@@ -37,16 +43,17 @@ The packed polynomial is itself a Polynomial of its rank, and every function
 here returns one: it decodes its fields into tuple monomials only when read
 that way.  A key's little-endian bytes are its exponent row in canonical
 order, so a restriction, squarefree with coefficient 1, renders from one
-sort of those rows and one join per term.  restriction_residuals restricts
-each term's numerator and denominator once and decides every identity from
-those pairs; the restricted quotients add, and compare with the Laurent
-form, as RationalExpression does, by exact cross-multiplication.
+sort of those rows and one pass that selects every factor's name from the
+joined rows.  restriction_residuals restricts each term's numerator and
+denominator once and decides every identity from those pairs; the restricted
+quotients add, and compare with the Laurent form, as RationalExpression
+does, by exact cross-multiplication.
 """
 
 import json
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import compress, starmap
+from itertools import compress, cycle, starmap
 from operator import or_
 
 from .diagrams import (
@@ -187,24 +194,47 @@ class _Packed(Polynomial):
         (row,) = self._rows([reduce(or_, self.terms, 0)])
         return set(compress(_variables(self.n), row))
 
-    def _render(self, namer, times: str, power: str, minus: str) -> str:
+    def _squarefree_factors(self, names: list):
+        """The names of each term's factors in canonical term order, or None.
+
+        One pass over all terms: the sorted rows, joined, select the names
+        of every factor of every term in order, and cutting that stream into
+        runs of the common degree gives the terms.  The constant 1 is one
+        empty term; None as for _squarefree_rows.
+        """
         rows = self._squarefree_rows()
         if rows is None:
-            return super()._render(namer, times, power, minus)
+            return None
+        degree = rows[0].count(1) if rows else 0
+        if not degree:
+            return [()] * len(rows)
+        factors = compress(cycle(names), b"".join(rows))
+        return zip(*[factors] * degree)
+
+    def _render(self, namer, times: str, power: str, minus: str) -> str:
+        """A restriction renders in one pass over all its terms.
+
+        Its sorted rows select every factor's name in order, the stream is
+        cut into terms of the common degree, and each term is one join of
+        its names, with no per-term decoding.  Any other polynomial renders
+        as Polynomial does.
+        """
         names = [namer(var) for var in _variables(self.n)]
-        terms = (times.join(compress(names, row)) or "1" for row in rows)
-        return " + ".join(terms) or "0"
+        terms = self._squarefree_factors(names)
+        if terms is None:
+            return super()._render(namer, times, power, minus)
+        return " + ".join(map(times.join, terms)) or ("1" if self.terms else "0")
 
     def to_json(self) -> str:
-        rows = self._squarefree_rows()
-        if rows is None:
-            return super().to_json()
         members = [json.dumps(variable_name(var)) + ": 1" for var in _variables(self.n)]
-        terms = (
-            '{"coefficient": 1, "exponents": {' + ", ".join(compress(members, row)) + "}}"
-            for row in rows
-        )
-        return "[" + ", ".join(terms) + "]"
+        terms = self._squarefree_factors(members)
+        if terms is None:
+            return super().to_json()
+        if not self.terms:
+            return "[]"
+        head = '{"coefficient": 1, "exponents": {'
+        body = ("}}, " + head).join(map(", ".join, terms))
+        return "[" + head + body + "}}]"
 
 
 def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
@@ -232,41 +262,59 @@ def _path_sums(n: int, targets) -> dict:
     """Packed restrictions of the target diagrams, keyed by diagram.
 
     Evaluates R_{t+1}(D) = R_t(D) + a_t * R_t(D minus box_t) on live diagrams
-    only.  The backward pass records, per position t, the diagrams that can
-    still grow into a target after t and the removals of t's label from
-    them, scanning each diagram once; the forward pass keeps each live
-    diagram's packed keys and replays the removals, appending the smaller
-    diagram's keys shifted by t's field.  The two summands are disjoint and
-    every coefficient is 1, so the lists are concatenated, never merged,
-    and each target's list becomes a packed polynomial once, at the end.
+    only: those that can still grow into a target.  The backward pass scans
+    each diagram once, when it becomes live, and files it under every label
+    it can lose, so the removals at position t are the diagrams filed under
+    t's label; each step records them and the diagrams they made live.  The
+    forward pass keeps each live diagram's packed keys, appends to a
+    diagram the smaller one's keys shifted by t's field, and drops the
+    diagrams made live at t right after t, the last position that reads
+    them.  The two summands are disjoint and every coefficient is 1, so the
+    lists are concatenated, never merged, and each target's list becomes a
+    packed polynomial once, at the end.  Every coordinate sits at one word
+    position, so two subsequences never give one key: a repeated key can
+    only be a fault of the program and raises RuntimeError.
     """
     word = reduced_word(n)
-    shrink: dict = {}
+    filed: dict = {label: [] for label, _ in word}
     live = set(targets)
+    born = live
     steps = []
     for label, _ in reversed(word):
-        removals = []
-        for rows in live:
-            if rows not in shrink:
-                shrink[rows] = _shrunk(n, rows)
-            smaller = shrink[rows].get(label)
-            if smaller is not None:
-                removals.append((rows, smaller))
-        steps.append((live, removals))
-        live = live.union(smaller for _, smaller in removals)
+        # file what the later position made live (the targets, at first)
+        for rows in born:
+            for lost, smaller in _shrunk(n, rows).items():
+                filed[lost].append((rows, smaller))
+        # a copy: diagrams made live later file under this label too
+        removals = filed[label][:]
+        born = {smaller for _, smaller in removals} - live
+        live |= born
+        steps.append((removals, born))
     state = {empty_diagram(n): [0]}
-    for shift, (ahead, removals) in zip(_position_bits(n), reversed(steps)):
-        next_state = {rows: keys for rows, keys in state.items() if rows in ahead}
-        for rows, smaller in removals:
-            keys = state.get(smaller)
-            if keys is not None:
-                moved = [key + shift for key in keys]
-                next_state[rows] = next_state.get(rows, []) + moved
-        state = next_state
-    return {
-        rows: _Packed(n, dict.fromkeys(state[rows], 1), int(any(rows)))
-        for rows in targets
-    }
+    get = state.get
+    for shift, (removals, born) in zip(_position_bits(n), reversed(steps)):
+        # read every smaller diagram's R_t before writing any R_{t+1}
+        moved = [
+            (rows, [key + shift for key in keys])
+            for rows, smaller in removals
+            if (keys := get(smaller)) is not None
+        ]
+        for rows, keys in moved:
+            kept = get(rows)
+            if kept is None:
+                state[rows] = keys
+            else:
+                kept += keys
+        for rows in born:
+            state.pop(rows, None)
+    table = {}
+    for rows in targets:
+        keys = state[rows]
+        terms = dict.fromkeys(keys, 1)
+        if len(terms) != len(keys):
+            raise RuntimeError(f"the path sum of {rows} repeats a monomial")
+        table[rows] = _Packed(n, terms, int(any(rows)))
+    return table
 
 
 def restrict_all(n: int) -> dict:

@@ -292,6 +292,25 @@ def test_single_target_path_sums_match_restrict_all(n):
     assert all(picked[rows] == table[rows] for rows in some)
 
 
+def test_single_target_path_sums_at_rank_9():
+    # one diagram from each of the 32 strata of equal size, by restriction size
+    table = restrict_all(9)
+    ordered = sorted(table, key=lambda rows: (table[rows].term_count(), rows))
+    for rows in ordered[::16]:
+        (single,) = _path_sums(9, (rows,)).values()
+        assert single == table[rows]
+        assert single.bound == table[rows].bound
+        assert single.term_count() == subsequence_count(9, rows)
+
+
+def test_path_sums_refuse_a_repeated_monomial(monkeypatch):
+    # with every shift zero, two subsequences building one diagram give one key
+    monkeypatch.setattr(torus, "_position_bits", lambda n: (0,) * len(reduced_word(n)))
+    assert subsequence_count(3, (1, 1, 0)) > 1
+    with pytest.raises(RuntimeError, match=re.escape("(1, 1, 0) repeats a monomial")):
+        _path_sums(3, [(1, 1, 0)])
+
+
 def test_single_target_scans_only_diagrams_inside_it(monkeypatch):
     n, target = 9, (1, 2, 1, 1, 0, 0, 0, 0, 0)
     scanned = []
@@ -389,6 +408,25 @@ def test_largest_rank9_restriction_renders_like_its_polynomial():
     restricted = restrict_plucker(9, largest)
     assert restricted.term_count() == subsequence_count(9, largest) == 12_870
     _assert_renders_like(restricted, _decode(restricted))
+
+
+def test_restrictions_render_without_decoding(monkeypatch):
+    """Restrictions render from their packed rows, never through Polynomial."""
+
+    def refuse(*args):
+        raise AssertionError("a restriction rendered through Polynomial")
+
+    monkeypatch.setattr(Polynomial, "_render", refuse)
+    monkeypatch.setattr(Polynomial, "to_json", refuse)
+    largest = restrict_plucker(9, (1, 2, 3, 4, 5, 2, 1, 0, 0))
+    assert largest.term_count() == 12_870
+    restrictions = [
+        restrict_plucker(n, rows) for n in range(2, 8) for rows in all_diagrams(n)
+    ]
+    for restricted in restrictions + [largest]:
+        restricted.to_text()
+        restricted.to_latex()
+        restricted.to_json()
 
 
 def test_packed_rendering_edge_cases():
