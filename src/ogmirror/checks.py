@@ -9,11 +9,11 @@ unique_positions reads the diagram scans directly, to count a label that
 fits twice where the public functions raise StructuralError.  A check whose
 computation rejects a broken term fails, naming the term and the error,
 instead of aborting the battery; terms that cannot be restricted fail every
-restriction check with the restriction's error.  The pair recursion runs
-once per middle term: the pair checks read the memoised levels that the
-terms are built from, not a second recursion.  The three restriction checks
-are built from one torus.restriction_residuals pass, which restricts each
-term once.
+restriction check with the restriction's error.  The pair recursion and
+the numerator promotion each run once per middle term: the pair and seed
+checks read the memoised levels that the terms are built from, not a
+second recursion or promotion.  The three restriction checks are built
+from one torus.restriction_residuals pass, which restricts each term once.
 """
 
 from collections import Counter
@@ -135,19 +135,17 @@ def _residual_detail(residual: Polynomial) -> str:
     )
 
 
-def _denominator_restriction(n, index, residual):
+def _restriction(name, n, index, residual):
     ok = not residual
-    return CheckResult(
-        "denominator_restriction", n, index, ok,
-        "" if ok else _residual_detail(residual),
-    )
+    return CheckResult(name, n, index, ok, "" if ok else _residual_detail(residual))
+
+
+def _denominator_restriction(n, index, residual):
+    return _restriction("denominator_restriction", n, index, residual)
 
 
 def _term_restriction(n, index, residual):
-    ok = not residual
-    return CheckResult(
-        "term_restriction", n, index, ok, "" if ok else _residual_detail(residual)
-    )
+    return _restriction("term_restriction", n, index, residual)
 
 
 def _laurent_assembly(n, holds):
@@ -172,11 +170,12 @@ def restriction_checks(n: int, terms) -> list[CheckResult]:
     """The torus-restriction checks of the battery, run on the given terms.
 
     If the terms cannot be restricted (a Plücker variable that is not a
-    diagram of rank n), every check fails with that error as its detail.
+    diagram of rank n, or an exponent past the packed field maximum), every
+    check fails with that error as its detail.
     """
     try:
         denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         failed = [("denominator_restriction", term.index) for term in terms]
         failed += [("term_restriction", term.index) for term in terms[: n + 1]]
         failed.append(("laurent_assembly", None))

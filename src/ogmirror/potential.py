@@ -10,10 +10,11 @@ and move one box per level from the first diagram to the second, while the
 numerator levels are obtained by adding one box with label n+1-i to
 whichever component of each pair accepts it.
 
-The denominator recursion runs once per (rank, index): its levels are
-memoised, so the check battery's pair checks and the terms read the same
-levels.  Each signed sum, and each derivation, is built in one Polynomial
-construction over its (coefficient, exponents) pairs.
+The denominator recursion and the numerator promotion each run once per
+(rank, index): both level sets are memoised, so the check battery's pair
+and seed checks and the terms read the same levels.  Each signed sum, and
+each derivation, is built in one Polynomial construction over its
+(coefficient, exponents) pairs.
 """
 
 from collections import Counter
@@ -28,7 +29,6 @@ from .diagrams import (
     add_unique_box,
     box_moves,
     check_rank,
-    diagram,
     empty_diagram,
     full_columns,
     is_valid,
@@ -80,6 +80,7 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     return tuple(levels)
 
 
+@lru_cache(maxsize=None)
 def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
     """One-box promotions of the memoised denominator levels.
 
@@ -150,23 +151,19 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
 
 
 def potential_term(n: int, i: int) -> SuperpotentialTerm:
-    """The i-th superpotential summand, 0 <= i <= n+1."""
+    """The i-th superpotential summand, 0 <= i <= n+1.
+
+    Terms 0, 1 and n are a base diagram's variable under the variable of
+    that base with its unique addable box added.
+    """
     check_rank(n)
     if not 0 <= i <= n + 1:
         raise ValueError(f"term index {i} outside 0..{n + 1}")
-    if i == 0:
+    bases = {0: empty_diagram(n), 1: full_columns(n, 1), n: staircase_prefix(n, n - 1)}
+    if i in bases:
+        base = bases[i]
         return SuperpotentialTerm(
-            0, plucker_poly(diagram(n, (1,))), plucker_poly(empty_diagram(n))
-        )
-    if i == 1:
-        base = full_columns(n, 1)
-        return SuperpotentialTerm(
-            1, plucker_poly(add_unique_box(n, base)), plucker_poly(base)
-        )
-    if i == n:
-        base = staircase_prefix(n, n - 1)
-        return SuperpotentialTerm(
-            n, plucker_poly(add_unique_box(n, base)), plucker_poly(base)
+            i, plucker_poly(add_unique_box(n, base)), plucker_poly(base)
         )
     if i == n + 1:
         numerator = Polynomial.variable(QUANTUM) * plucker_poly(

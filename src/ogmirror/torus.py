@@ -120,27 +120,6 @@ class _Packed(Polynomial):
             message = f"packed key {union:#x} runs past the last field"
             raise ValueError(message) from None
 
-    def _squarefree_rows(self) -> list | None:
-        """The exponent rows in canonical term order, or None.
-
-        When every term is squarefree with coefficient 1 and of one degree,
-        as in a restriction, the rows compared in descending order give
-        exactly the order Polynomial.sorted_terms gives, so one sort on them
-        replaces decoding and sorting tuple monomials.  Other polynomials
-        (and keys past the last field) return None.
-        """
-        ones = int.from_bytes(b"\1" * len(_variables(self.n)), "little")
-        keys = self.terms
-        if (
-            reduce(or_, keys, 0) | ones != ones
-            or len(set(map(int.bit_count, keys))) > 1
-            or not set(keys.values()) <= {1}
-        ):
-            return None
-        rows = self._rows(keys)
-        rows.sort(reverse=True)
-        return rows
-
     def _same_packing(self, other) -> bool:
         return isinstance(other, _Packed) and other.n == self.n
 
@@ -189,22 +168,29 @@ class _Packed(Polynomial):
         terms = {key: coeff for key, coeff in acc.items() if coeff}
         return _Packed(self.n, terms, bound)
 
-    def variables(self) -> set:
-        # a field is nonzero in the OR of all keys iff some term uses it
-        (row,) = self._rows([reduce(or_, self.terms, 0)])
-        return set(compress(_variables(self.n), row))
-
     def _squarefree_factors(self, names: list):
         """The names of each term's factors in canonical term order, or None.
 
-        One pass over all terms: the sorted rows, joined, select the names
-        of every factor of every term in order, and cutting that stream into
+        When every term is squarefree with coefficient 1 and of one degree,
+        as in a restriction, the exponent rows compared in descending order
+        give exactly the order Polynomial.sorted_terms gives, so one sort on
+        them replaces decoding and sorting tuple monomials.  One pass over
+        all terms follows: the sorted rows, joined, select the names of
+        every factor of every term in order, and cutting that stream into
         runs of the common degree gives the terms.  The constant 1 is one
-        empty term; None as for _squarefree_rows.
+        empty term.  Other polynomials (and keys past the last field) return
+        None.
         """
-        rows = self._squarefree_rows()
-        if rows is None:
+        ones = int.from_bytes(b"\1" * len(_variables(self.n)), "little")
+        keys = self.terms
+        if (
+            reduce(or_, keys, 0) | ones != ones
+            or len(set(map(int.bit_count, keys))) > 1
+            or not set(keys.values()) <= {1}
+        ):
             return None
+        rows = self._rows(keys)
+        rows.sort(reverse=True)
         degree = rows[0].count(1) if rows else 0
         if not degree:
             return [()] * len(rows)
@@ -429,11 +415,16 @@ def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
     return table, pairs
 
 
+def _term_residual(n: int, i: int, numerator, denominator) -> _Packed:
+    """A restricted numerator minus its restricted denominator times the
+    i-th term_restriction_factor: zero iff the term identity holds."""
+    return numerator - denominator * term_restriction_factor(n, i)
+
+
 def term_restriction_residual(n: int, i: int) -> Polynomial:
     """Term residual of the i-th superpotential term (see restriction_residuals)."""
-    terms = [potential_term(n, i)]
-    _, ((numerator, denominator),) = _restricted_pairs(n, terms)
-    return numerator - denominator * term_restriction_factor(n, i)
+    _, (pair,) = _restricted_pairs(n, [potential_term(n, i)])
+    return _term_residual(n, i, *pair)
 
 
 def verify_term_restriction(n: int, i: int) -> bool:
@@ -468,11 +459,20 @@ def laurent_potential(n: int) -> RationalExpression:
     return _laurent_potential(n, _path_sums(n, _laurent_diagrams(n)))
 
 
+def _quotient_sum(n: int, pairs) -> RationalExpression:
+    """The restricted (numerator, denominator) pairs added as quotients.
+
+    The packed zero quotient is the explicit start, so no pairs sum to it
+    rather than to the int 0.
+    """
+    zero = RationalExpression(_Packed(n, {}, 0), _Packed(n, {0: 1}, 0))
+    return sum(starmap(RationalExpression, pairs), zero)
+
+
 def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
     _, pairs = _restricted_pairs(n, superpotential(n))
-    zero = RationalExpression(_Packed(n, {}, 0), _Packed(n, {0: 1}, 0))
-    return sum(starmap(RationalExpression, pairs), zero)
+    return _quotient_sum(n, pairs)
 
 
 def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
@@ -495,11 +495,10 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
         for term, (_, denominator) in zip(terms, pairs)
     ]
     term_residuals = [
-        numerator - denominator * term_restriction_factor(n, term.index)
-        for term, (numerator, denominator) in zip(terms[: n + 1], pairs)
+        _term_residual(n, term.index, *pair)
+        for term, pair in zip(terms[: n + 1], pairs)
     ]
-    zero = RationalExpression(_Packed(n, {}, 0), _Packed(n, {0: 1}, 0))
     holds = all(denominator for _, denominator in pairs) and (
-        sum(starmap(RationalExpression, pairs), zero) == _laurent_potential(n, table)
+        _quotient_sum(n, pairs) == _laurent_potential(n, table)
     )
     return denominator_residuals, term_residuals, holds

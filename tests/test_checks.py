@@ -11,7 +11,8 @@ and the checks must fail, not raise.  A fourth spells one denominator's
 Plücker variable without its trailing zero, which the derivation must
 reject as the restriction does.  A zero denominator, whose quotient does
 not exist, runs both ways: through the restriction checks and through the
-patched battery.
+patched battery; so does a term whose restriction needs an exponent past
+the packed field maximum, which must fail every restriction check.
 """
 
 import dataclasses
@@ -163,6 +164,19 @@ def trimmed_plucker_spelling(n):
     return terms, restriction | {("derivation_identity", n)}
 
 
+def overflowing_power(n):
+    """Term 1's numerator times its denominator variable to the 300th power:
+    restricting it needs an exponent past the packed field maximum."""
+    terms = superpotential(n)
+    term = terms[1]
+    numerator = term.numerator * term.denominator**300
+    terms[1] = dataclasses.replace(term, numerator=numerator)
+    restriction = {("denominator_restriction", i) for i in range(n + 2)}
+    restriction |= {("term_restriction", i) for i in range(n + 1)}
+    restriction.add(("laurent_assembly", None))
+    return terms, restriction
+
+
 def _failures(results):
     return {(result.name, result.index) for result in results if not result.passed}
 
@@ -237,6 +251,17 @@ def test_battery_fails_every_restriction_check_on_an_invalid_diagram(n, monkeypa
     restriction = [result for result in results if result.name != "derivation_identity"]
     assert {result.detail for result in restriction if not result.passed} == {detail}
     assert _failures(restriction_checks(n, terms)) == expected - {("derivation_identity", 0)}
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_packed_field_overflow_fails_every_restriction_check(n, monkeypatch):
+    terms, expected = overflowing_power(n)
+    overflow = "product exponent bound 256 exceeds the packed field maximum 255"
+    results = restriction_checks(n, terms)
+    assert _failures(results) == expected
+    assert {result.detail for result in results} == {overflow}
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(terms))
+    assert _failures(run_checks(n)) == expected | {("derivation_identity", 1)}
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))
@@ -335,8 +360,18 @@ def test_run_checks_runs_each_pair_recursion_once(n, monkeypatch):
         calls.append(pair)
         return moves(rank, pair)
 
+    # only the numerator promotion calls _grown through potential
+    promoted = []
+    grown = potential._grown
+
+    def counting_grown(rank, rows):
+        promoted.append(rows)
+        return grown(rank, rows)
+
     potential.denominator_pair_levels.cache_clear()
+    potential.numerator_pair_levels.cache_clear()
     monkeypatch.setattr(potential, "box_moves", counting_moves)
+    monkeypatch.setattr(potential, "_grown", counting_grown)
     run_checks(n)
     pairs = [
         pair
@@ -345,6 +380,7 @@ def test_run_checks_runs_each_pair_recursion_once(n, monkeypatch):
         for pair in level
     ]
     assert sorted(calls) == sorted(pairs)
+    assert len(promoted) == 2 * len(pairs) == {5: 16, 6: 24, 7: 40}[n]
 
 
 def _detail_terms(detail):

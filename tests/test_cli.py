@@ -10,6 +10,7 @@ from test_checks import (
     flipped_level_sign,
     invalid_plucker_variable,
     non_homogeneous_denominator,
+    overflowing_power,
 )
 
 
@@ -218,6 +219,18 @@ def test_verify_fails_without_a_traceback_on_an_invalid_diagram(runner, monkeypa
     assert len(failing) == 1 + 6 + 5 + 1
     assert lines[-1] == "FAILED 13 checks"
     assert "  p[2,0,0,0] is not a diagram of rank 4\n" in result.stderr
+
+
+def test_verify_fails_without_a_traceback_on_a_field_overflow(runner, monkeypatch):
+    terms, _ = overflowing_power(4)
+    monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))
+    result = runner.invoke(main, ["verify", "--n", "4"])
+    assert type(result.exception) is SystemExit
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "FAILED 13 checks"
+    detail = "product exponent bound 256 exceeds the packed field maximum 255"
+    assert f"  {detail}\n" in result.stderr
 
 
 def test_verify_usage_errors(runner):

@@ -92,6 +92,7 @@ def test_numerator_seed_is_unique_extension(n):
 def test_numerator_promotion_faults_on_double_add(monkeypatch):
     # label 2 is addable to both copies of (1,2,0,0) at rank 4
     crafted = ((((1, 2, 0, 0), (1, 2, 0, 0)),),)
+    potential.numerator_pair_levels.cache_clear()
     monkeypatch.setattr(potential, "denominator_pair_levels", lambda n, i: crafted)
     with pytest.raises(StructuralError):
         numerator_pair_levels(4, 3)
@@ -185,6 +186,20 @@ def test_superpotential_n2():
     assert terms[3].numerator == Polynomial.variable(QUANTUM) * p(0, 0)
     assert terms[3].denominator == p(1, 2)
     assert all(term.denominator.plucker_degree() == 1 for term in terms)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_boundary_terms_in_closed_form(n):
+    """Terms 0, 1 and n are one Plücker variable over another."""
+    prefix = tuple(range(1, n))
+    rows = {
+        0: ((1,) + (0,) * (n - 1), (0,) * n),
+        1: ((1, 2) + (1,) * (n - 2), (1,) * n),
+        n: (prefix + (1,), prefix + (0,)),
+    }
+    for i, (numerator, denominator) in rows.items():
+        term = potential_term(n, i)
+        assert (term.numerator, term.denominator) == (p(*numerator), p(*denominator))
 
 
 def test_superpotential_n3_degrees():
