@@ -45,6 +45,12 @@ def check_rank(n: int) -> None:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
 
 
+def check_index(what: str, value: int, lo: int, hi: int) -> None:
+    """Reject an index outside lo..hi, naming what it indexes."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} {value} outside {lo}..{hi}")
+
+
 def empty_diagram(n: int) -> Diagram:
     check_rank(n)
     return (0,) * n
@@ -53,8 +59,8 @@ def empty_diagram(n: int) -> Diagram:
 def is_valid(n: int, rows) -> bool:
     """True iff zero-padding ``rows`` to length n yields a valid diagram.
 
-    Total on integer sequences: anything that does not fit the staircase
-    returns False rather than raising.
+    Total on sequences: a row that is not an int, or anything that does not
+    fit the staircase, returns False rather than raising.
     """
     check_rank(n)
     rows = tuple(rows)
@@ -63,7 +69,7 @@ def is_valid(n: int, rows) -> bool:
     above = 0
     for r, c in enumerate(rows, 1):
         # box (r, c) needs box (r-1, c) unless it sits on the diagonal
-        if not 0 <= c <= r or (c > above and above < r - 1):
+        if not isinstance(c, int) or not 0 <= c <= r or (c > above and above < r - 1):
             return False
         above = c
     return True
@@ -108,22 +114,15 @@ def staircase(n: int) -> Diagram:
 def staircase_prefix(n: int, i: int) -> Diagram:
     """The diagram whose first i rows are filled completely, 0 <= i <= n."""
     check_rank(n)
-    if not 0 <= i <= n:
-        raise ValueError(f"prefix length {i} outside 0..{n}")
+    check_index("prefix length", i, 0, n)
     return tuple(range(1, i + 1)) + (0,) * (n - i)
 
 
 def full_columns(n: int, i: int) -> Diagram:
     """The diagram whose first i columns are filled to the staircase boundary."""
     check_rank(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"column count {i} outside 1..{n}")
+    check_index("column count", i, 1, n)
     return tuple(min(r, i) for r in range(1, n + 1))
-
-
-def _check_label(n: int, label: int) -> None:
-    if not 1 <= label <= n + 1:
-        raise ValueError(f"label {label} outside 1..{n + 1}")
 
 
 def _addable_cells(n: int, rows: Diagram) -> list[tuple[int, int, int]]:
@@ -177,28 +176,28 @@ def _shrunk(n: int, rows: Diagram) -> dict[int, Diagram]:
 def addable_positions(n: int, rows, label: int) -> list[LabeledBox]:
     """Open cells with this label where adding a box keeps the diagram valid."""
     rows = diagram(n, rows)
-    _check_label(n, label)
+    check_index("label", label, 1, n + 1)
     return [LabeledBox(*cell) for cell in _addable_cells(n, rows) if cell[2] == label]
 
 
 def removable_positions(n: int, rows, label: int) -> list[LabeledBox]:
     """Boxes with this label having no box to their right nor below them."""
     rows = diagram(n, rows)
-    _check_label(n, label)
+    check_index("label", label, 1, n + 1)
     return [LabeledBox(*cell) for cell in _removable_cells(n, rows) if cell[2] == label]
 
 
 def add_box(n: int, rows, label: int) -> Diagram | None:
     """The diagram with one box of this label added, or None if impossible."""
     rows = diagram(n, rows)
-    _check_label(n, label)
+    check_index("label", label, 1, n + 1)
     return _grown(n, rows).get(label)
 
 
 def remove_box(n: int, rows, label: int) -> Diagram | None:
     """The diagram with one box of this label removed, or None if impossible."""
     rows = diagram(n, rows)
-    _check_label(n, label)
+    check_index("label", label, 1, n + 1)
     return _shrunk(n, rows).get(label)
 
 

@@ -258,9 +258,11 @@ class Polynomial:
         ``times`` joins the coefficient and the factors, ``power`` formats a
         name and an exponent above 1, and ``minus`` is the minus sign.
         """
-        names = {var: namer(var) for var in self.variables()}
+        terms = self.sorted_terms()
+        used = {var for mono, _ in terms for var, _ in mono}
+        names = {var: namer(var) for var in used}
         chunks = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in terms:
             factors = [
                 names[var] if exp == 1 else power.format(names[var], exp)
                 for var, exp in mono
@@ -285,10 +287,12 @@ class Polynomial:
 
     def to_json_terms(self) -> list[dict]:
         """JSON form: one {coefficient, exponents} record per term."""
-        names = {var: variable_name(var) for var in self.variables()}
+        terms = self.sorted_terms()
+        used = {var for mono, _ in terms for var, _ in mono}
+        names = {var: variable_name(var) for var in used}
         return [
             {"coefficient": coeff, "exponents": {names[var]: exp for var, exp in mono}}
-            for mono, coeff in self.sorted_terms()
+            for mono, coeff in terms
         ]
 
     def to_json(self) -> str:

@@ -28,6 +28,7 @@ from .diagrams import (
     add_box,
     add_unique_box,
     box_moves,
+    check_index,
     check_rank,
     empty_diagram,
     full_columns,
@@ -69,8 +70,7 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     component loses a box per move.
     """
     check_rank(n)
-    if not 2 <= i <= n - 1:
-        raise ValueError(f"middle term index {i} outside 2..{n - 1}")
+    check_index("middle term index", i, 2, n - 1)
     level = [(staircase_prefix(n, i - 1), full_columns(n, i))]
     levels = []
     while level:
@@ -127,8 +127,7 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
     full-length rank-n diagrams are accepted.
     """
     check_rank(n)
-    if not 0 <= i <= n:
-        raise ValueError(f"derivation index {i} outside 0..{n}")
+    check_index("derivation index", i, 0, n)
     label = n + 1 - i
 
     def leibniz_terms():
@@ -157,8 +156,7 @@ def potential_term(n: int, i: int) -> SuperpotentialTerm:
     that base with its unique addable box added.
     """
     check_rank(n)
-    if not 0 <= i <= n + 1:
-        raise ValueError(f"term index {i} outside 0..{n + 1}")
+    check_index("term index", i, 0, n + 1)
     bases = {0: empty_diagram(n), 1: full_columns(n, 1), n: staircase_prefix(n, n - 1)}
     if i in bases:
         base = bases[i]

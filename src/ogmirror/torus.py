@@ -18,13 +18,19 @@ A backward pass over the word finds the live diagrams, those that can still
 grow into a target: it scans each once, when it becomes live, for its
 removable boxes and files it under each label it can lose, so the removals
 at a position are the live diagrams filed under its label, with no test of
-the others.  The forward pass replays those removals and drops each diagram
-right after the last position that reads it, the position where the backward
-pass made it live.  Both passes cost in proportion to the removals and the
-keys moved, not to positions times live diagrams.  restrict_all targets
-every diagram, restrict_plucker one, and restriction_residuals the diagrams
-its terms and laurent_potential read, so a caller pays for the restrictions
-it reads.
+the others.  The forward pass replays those removals, each one read, shifted
+and appended in a single step, and drops each diagram right after the last
+position that reads it, the position where the backward pass made it live.
+One phase per position is enough: a diagram that loses its box of some label
+at cell (r, c) has no removable box of that label left.  The other cells of
+that label are (r - k, c - k) and (r + k, c + k) for k >= 1 (labels n and n+1
+sit on the main diagonal only, every other row).  Those up-left still have a
+box below them, at (r - k + 1, c - k), and those down-right are empty, as
+(r + 1, c) is.  So no list that a position reads is one that it writes.  Both
+passes cost in proportion to the removals and the keys moved, not to
+positions times live diagrams.  restrict_all targets every diagram,
+restrict_plucker one, and restriction_residuals the diagrams its terms and
+laurent_potential read, so a caller pays for the restrictions it reads.
 
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
@@ -40,8 +46,8 @@ product and their maximum for a sum.  A product whose bound would exceed
 255 raises OverflowError instead of carrying one field into the next.
 
 The packed polynomial is itself a Polynomial of its rank, and every function
-here returns one: it decodes its fields into tuple monomials only when read
-that way.  A key's little-endian bytes are its exponent row in canonical
+here returns one: it decodes its fields into tuple monomials on each read
+of that kind, and stores no decoded copy.  A key's little-endian bytes are its exponent row in canonical
 order, so a restriction, squarefree with coefficient 1, renders from one
 sort of those rows and one pass that selects every factor's name from the
 joined rows.  restriction_residuals restricts each term's numerator and
@@ -61,6 +67,7 @@ from .diagrams import (
     _label_table,
     _shrunk,
     all_diagrams,
+    check_index,
     check_rank,
     diagram,
     empty_diagram,
@@ -89,26 +96,24 @@ class _Packed(Polynomial):
     ``terms`` maps packed monomials to nonzero integer coefficients and is
     never mutated; ``bound`` bounds every exponent of every term.  With a
     packed polynomial of the same rank, + - * and == stay packed; anything
-    else goes through Polynomial, which reads the terms decoded once.
+    else goes through Polynomial, which reads the terms decoded into tuple
+    monomials on each read; the packed terms are the only stored form.
     """
 
-    __slots__ = ("n", "terms", "bound", "_tuple_terms")
+    __slots__ = ("n", "terms", "bound")
 
     def __init__(self, n: int, terms: dict, bound: int):
         self.n = n
         self.terms = terms
         self.bound = bound
-        self._tuple_terms = None
 
     @property
     def _terms(self) -> dict:
-        if self._tuple_terms is None:
-            variables = _variables(self.n)
-            self._tuple_terms = {
-                tuple(zip(compress(variables, row), compress(row, row))): coeff
-                for row, coeff in zip(self._rows(self.terms), self.terms.values())
-            }
-        return self._tuple_terms
+        variables = _variables(self.n)
+        return {
+            tuple(zip(compress(variables, row), compress(row, row))): coeff
+            for row, coeff in zip(self._rows(self.terms), self.terms.values())
+        }
 
     def _rows(self, keys) -> list:
         """The exponent row of each key: one byte per field, field 0 first."""
@@ -252,14 +257,17 @@ def _path_sums(n: int, targets) -> dict:
     each diagram once, when it becomes live, and files it under every label
     it can lose, so the removals at position t are the diagrams filed under
     t's label; each step records them and the diagrams they made live.  The
-    forward pass keeps each live diagram's packed keys, appends to a
-    diagram the smaller one's keys shifted by t's field, and drops the
-    diagrams made live at t right after t, the last position that reads
-    them.  The two summands are disjoint and every coefficient is 1, so the
-    lists are concatenated, never merged, and each target's list becomes a
-    packed polynomial once, at the end.  Every coordinate sits at one word
-    position, so two subsequences never give one key: a repeated key can
-    only be a fault of the program and raises RuntimeError.
+    forward pass keeps each live diagram's packed keys and, per removal in
+    one loop, appends to a diagram the smaller one's keys shifted by t's
+    field; then it drops the diagrams made live at t, as t is the last
+    position that reads them.  Nothing is staged: a diagram that loses t's
+    label cannot lose it again (see the module docstring), so no diagram
+    written at t is read at t as a smaller one.  The two summands are
+    disjoint and every coefficient is 1, so the lists are concatenated,
+    never merged, and each target's list becomes a packed polynomial once,
+    at the end.  Every coordinate sits at one word position, so two
+    subsequences never give one key: a repeated key can only be a fault of
+    the program and raises RuntimeError.
     """
     word = reduced_word(n)
     filed: dict = {label: [] for label, _ in word}
@@ -279,18 +287,14 @@ def _path_sums(n: int, targets) -> dict:
     state = {empty_diagram(n): [0]}
     get = state.get
     for shift, (removals, born) in zip(_position_bits(n), reversed(steps)):
-        # read every smaller diagram's R_t before writing any R_{t+1}
-        moved = [
-            (rows, [key + shift for key in keys])
-            for rows, smaller in removals
-            if (keys := get(smaller)) is not None
-        ]
-        for rows, keys in moved:
-            kept = get(rows)
-            if kept is None:
-                state[rows] = keys
+        for rows, smaller in removals:
+            if (keys := get(smaller)) is None:
+                continue
+            moved = [key + shift for key in keys]
+            if (kept := get(rows)) is None:
+                state[rows] = moved
             else:
-                kept += keys
+                kept += moved
         for rows in born:
             state.pop(rows, None)
     table = {}
@@ -373,8 +377,7 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
     ell_{i-1} positions times the product over positions with column <= i.
     """
     check_rank(n)
-    if not 0 <= i <= n + 1:
-        raise ValueError(f"term index {i} outside 0..{n + 1}")
+    check_index("term index", i, 0, n + 1)
     word = reduced_word(n)
     if i == 0:
         positions = []
@@ -395,8 +398,7 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
 def term_restriction_factor(n: int, i: int) -> Polynomial:
     """Sum of a[n+1-i, column] over the columns where label n+1-i occurs."""
     check_rank(n)
-    if not 0 <= i <= n:
-        raise ValueError(f"term index {i} outside 0..{n}")
+    check_index("term index", i, 0, n)
     label = n + 1 - i
     positions = [t for t, (lab, _) in enumerate(reduced_word(n)) if lab == label]
     bits = _position_bits(n)

@@ -12,7 +12,9 @@ Plücker variable without its trailing zero, which the derivation must
 reject as the restriction does.  A zero denominator, whose quotient does
 not exist, runs both ways: through the restriction checks and through the
 patched battery; so does a term whose restriction needs an exponent past
-the packed field maximum, which must fail every restriction check.
+the packed field maximum, which must fail every restriction check.  A
+fifth spells term 1's denominator with float rows, which no check may use
+to index the staircase: they fail as a variable that is not a diagram.
 """
 
 import dataclasses
@@ -164,6 +166,18 @@ def trimmed_plucker_spelling(n):
     return terms, restriction | {("derivation_identity", n)}
 
 
+def float_rows(n):
+    """Term 1's denominator p[1,...,1] spelt with float rows: it is not a
+    diagram, so the derivation rejects it and nothing can be restricted."""
+    terms = superpotential(n)
+    floats = Polynomial.variable(plucker_var((1.0,) * n))
+    terms[1] = dataclasses.replace(terms[1], denominator=floats)
+    restriction = {("denominator_restriction", i) for i in range(n + 2)}
+    restriction |= {("term_restriction", i) for i in range(n + 1)}
+    restriction.add(("laurent_assembly", None))
+    return terms, restriction | {("derivation_identity", 1)}
+
+
 def overflowing_power(n):
     """Term 1's numerator times its denominator variable to the 300th power:
     restricting it needs an exponent past the packed field maximum."""
@@ -251,6 +265,21 @@ def test_battery_fails_every_restriction_check_on_an_invalid_diagram(n, monkeypa
     restriction = [result for result in results if result.name != "derivation_identity"]
     assert {result.detail for result in restriction if not result.passed} == {detail}
     assert _failures(restriction_checks(n, terms)) == expected - {("derivation_identity", 0)}
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_battery_fails_every_restriction_check_on_float_rows(n, monkeypatch):
+    terms, expected = float_rows(n)
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(terms))
+    results = run_checks(n)
+    assert _failures(results) == expected
+    error = "p[" + ",".join(["1.0"] * n) + f"] is not a diagram of rank {n}"
+    details = {
+        (result.name == "derivation_identity", result.detail)
+        for result in results
+        if not result.passed
+    }
+    assert details == {(False, error), (True, f"term 1: {error}")}
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))
@@ -422,3 +451,32 @@ def test_run_checks_still_reports_every_restriction_check():
     assert names.count("denominator_restriction") == 6
     assert names.count("term_restriction") == 5
     assert names[-1] == "laurent_assembly"
+
+
+def _graded_pair(j):
+    """A crafted pair on level j of term 2 at rank 4: only box counts matter,
+    1 - j in the first component and 7 + j in the second."""
+    return (1 - j, 0, 0, 0), (7 + j, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "levels, detail",
+    (
+        (tuple((_graded_pair(j),) for j in range(3)), "3 levels exceed bound 2"),
+        (((_graded_pair(0),), ()), "empty level 1"),
+        (
+            ((((1, 0, 0, 0), (1, 0, 0, 0)),),),
+            "level 0 grading broken at ((1, 0, 0, 0), (1, 0, 0, 0))",
+        ),
+    ),
+    ids=("too_many_levels", "empty_level", "broken_grading"),
+)
+def test_pair_recursion_names_each_fault(levels, detail):
+    result = checks._pair_recursion(4, 2, levels)
+    assert (result.passed, result.detail) == (False, detail)
+
+
+def test_pair_recursion_passes_graded_levels_within_the_bound():
+    assert checks._pair_recursion(4, 2, denominator_pair_levels(4, 2)).passed
+    crafted = ((_graded_pair(0),), (_graded_pair(1),))
+    assert checks._pair_recursion(4, 2, crafted).passed

@@ -6,8 +6,11 @@ from click.testing import CliRunner
 
 from _bruteforce import subsequence_count
 from ogmirror.cli import main
+from ogmirror.diagrams import all_diagrams, format_diagram
+from ogmirror.torus import restrict_plucker
 from test_checks import (
     flipped_level_sign,
+    float_rows,
     invalid_plucker_variable,
     non_homogeneous_denominator,
     overflowing_power,
@@ -104,6 +107,15 @@ def test_restrict_serves_a_rank_whose_table_does_not_fit(runner):
     assert all(term["coefficient"] == 1 for term in terms)
     assert all(len(term["exponents"]) == 3 for term in terms)
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+
+def test_restrict_latex_renders_every_rank4_diagram(runner):
+    for rows in all_diagrams(4):
+        text = format_diagram(rows)
+        args = ["restrict", "--n", "4", "--diagram", text, "--format", "latex"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == restrict_plucker(4, rows).to_latex() + "\n"
 
 
 def test_restrict_empty_diagram(runner):
@@ -231,6 +243,24 @@ def test_verify_fails_without_a_traceback_on_a_field_overflow(runner, monkeypatc
     assert lines[-1] == "FAILED 13 checks"
     detail = "product exponent bound 256 exceeds the packed field maximum 255"
     assert f"  {detail}\n" in result.stderr
+
+
+def test_verify_fails_without_a_traceback_on_float_rows(runner, monkeypatch):
+    terms, _ = float_rows(4)
+    monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))
+    result = runner.invoke(main, ["verify", "--n", "4"])
+    assert type(result.exception) is SystemExit
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    failing = [line for line in lines if line.endswith(" FAIL")]
+    assert failing[:2] == [
+        "CHECK derivation_identity n=4 i=1 FAIL",
+        "CHECK denominator_restriction n=4 i=0 FAIL",
+    ]
+    assert len(failing) == 1 + 6 + 5 + 1
+    assert lines[-1] == "FAILED 13 checks"
+    assert "  term 1: p[1.0,1.0,1.0,1.0] is not a diagram of rank 4\n" in result.stderr
+    assert "Traceback" not in result.output + result.stderr
 
 
 def test_verify_usage_errors(runner):

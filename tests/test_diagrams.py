@@ -26,7 +26,7 @@ from ogmirror.diagrams import (
     staircase,
     staircase_prefix,
 )
-from ogmirror.potential import denominator_pair_levels
+from ogmirror.potential import check_plucker, denominator_pair_levels
 
 
 def test_validity_examples():
@@ -45,6 +45,22 @@ def test_validity_rejects_out_of_staircase():
     assert not is_valid(3, (1, 2, 4))
     assert not is_valid(3, (1, -1, 0))
     assert not is_valid(3, (1, 2, 3, 1))
+
+
+def test_validity_rejects_rows_that_are_not_ints():
+    assert not is_valid(3, (1.0, 0, 0))
+    assert not is_valid(3, (1, "2", 0))
+    assert not is_valid(3, (1, 2, None))
+    floats = (1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="not a valid diagram"):
+        diagram(4, floats)
+    for fn in (add_box, remove_box, addable_positions, removable_positions):
+        with pytest.raises(ValueError, match="not a valid diagram"):
+            fn(4, floats, 1)
+    with pytest.raises(ValueError, match="not a valid diagram"):
+        box_moves(4, ((1, 1, 1, 1), floats))
+    with pytest.raises(ValueError, match=r"p\[1.0,1.0,1.0,1.0\] is not a diagram"):
+        check_plucker(4, floats)
 
 
 def test_diagram_pads_and_validates():

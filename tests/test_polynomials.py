@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,6 +133,18 @@ def test_rational_addition():
     total = half_like + RationalExpression(Polynomial.one(), p(1, 1))
     assert total == RationalExpression(p(1, 0) + p(1, 1), p(1, 0) * p(1, 1))
     assert total + 0 == total
+
+
+def test_rational_product_and_text():
+    ratio = RationalExpression(p(1, 0), p(1, 1))
+    product = ratio * RationalExpression(p(1, 1), p(1, 2))
+    assert product.numerator == p(1, 0) * p(1, 1)
+    assert product.denominator == p(1, 1) * p(1, 2)
+    assert product == RationalExpression(p(1, 0), p(1, 2))
+    assert 2 * ratio == ratio * 2 == RationalExpression(2 * p(1, 0), p(1, 1))
+    assert p(1, 1) * ratio == p(1, 0)
+    assert ratio.to_text() == str(ratio) == "(p[1,0]) / (p[1,1])"
+    assert repr(ratio) == "RationalExpression<(p[1,0]) / (p[1,1])>"
 
 
 def test_substitute_is_homomorphism():

@@ -6,10 +6,8 @@ from ogmirror import potential
 from ogmirror.diagrams import (
     StructuralError,
     add_unique_box,
-    all_diagrams,
     box_moves,
     full_columns,
-    staircase,
     staircase_prefix,
 )
 from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var, torus_var

@@ -303,6 +303,15 @@ def test_single_target_path_sums_at_rank_9():
         assert single.term_count() == subsequence_count(9, rows)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_a_removed_label_is_not_removable_again(n):
+    # why _path_sums needs one phase per position: no diagram written at a
+    # position is read there as the smaller diagram of another removal
+    for rows in all_diagrams(n):
+        for label, smaller in diagrams._shrunk(n, rows).items():
+            assert label not in diagrams._shrunk(n, smaller), (rows, label)
+
+
 def test_path_sums_refuse_a_repeated_monomial(monkeypatch):
     # with every shift zero, two subsequences building one diagram give one key
     monkeypatch.setattr(torus, "_position_bits", lambda n: (0,) * len(reduced_word(n)))
