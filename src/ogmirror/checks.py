@@ -14,6 +14,10 @@ the numerator promotion each run once per middle term: the pair and seed
 checks read the memoised levels that the terms are built from, not a
 second recursion or promotion.  The three restriction checks are built
 from one torus.restriction_residuals pass, which restricts each term once.
+The derivation and term-restriction identities belong to the terms of index
+at most n, in whatever order they are given: a reordered list passes as the
+canonical one does, and a list without some terms fails laurent_assembly
+and nothing else.
 """
 
 from collections import Counter
@@ -36,7 +40,7 @@ from .potential import (
     numerator_pair_levels,
     superpotential,
 )
-from .torus import restriction_residuals
+from .torus import _has_term_identity, restriction_residuals
 
 # Failure details name a residual's size and only its leading terms.
 DETAIL_TERMS = 3
@@ -160,8 +164,7 @@ def run_checks(n: int) -> list[CheckResult]:
         results.append(_pair_recursion(n, i, denominator_pair_levels(n, i)))
         results.append(_numerator_seed(n, i, numerator_pair_levels(n, i)))
     terms = superpotential(n)
-    for term in terms[: n + 1]:
-        results.append(_derivation_identity(n, term))
+    results += [_derivation_identity(n, t) for t in terms if _has_term_identity(n, t)]
     results.append(_degree_sum(n, terms))
     return results + restriction_checks(n, terms)
 
@@ -169,15 +172,19 @@ def run_checks(n: int) -> list[CheckResult]:
 def restriction_checks(n: int, terms) -> list[CheckResult]:
     """The torus-restriction checks of the battery, run on the given terms.
 
-    If the terms cannot be restricted (a Plücker variable that is not a
+    Every term has a denominator check and each term of index at most n a
+    term check, in the order of the list; a list without some terms fails
+    only laurent_assembly, as a partial sum is not the Laurent form.  If
+    the terms cannot be restricted (a Plücker variable that is not a
     diagram of rank n, or an exponent past the packed field maximum), every
     check fails with that error as its detail.
     """
+    identity_terms = [term for term in terms if _has_term_identity(n, term)]
     try:
         denominator_residuals, term_residuals, holds = restriction_residuals(n, terms)
     except (ValueError, OverflowError) as err:
         failed = [("denominator_restriction", term.index) for term in terms]
-        failed += [("term_restriction", term.index) for term in terms[: n + 1]]
+        failed += [("term_restriction", term.index) for term in identity_terms]
         failed.append(("laurent_assembly", None))
         return [CheckResult(name, n, index, False, str(err)) for name, index in failed]
     results = [
@@ -186,7 +193,7 @@ def restriction_checks(n: int, terms) -> list[CheckResult]:
     ]
     results += [
         _term_restriction(n, term.index, residual)
-        for term, residual in zip(terms, term_residuals)
+        for term, residual in zip(identity_terms, term_residuals)
     ]
     results.append(_laurent_assembly(n, holds))
     return results

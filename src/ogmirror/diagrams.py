@@ -46,7 +46,10 @@ def check_rank(n: int) -> None:
 
 
 def check_index(what: str, value: int, lo: int, hi: int) -> None:
-    """Reject an index outside lo..hi, naming what it indexes."""
+    """Reject an index that is not an int or lies outside lo..hi, naming what
+    it indexes."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
     if not lo <= value <= hi:
         raise ValueError(f"{what} {value} outside {lo}..{hi}")
 
@@ -100,7 +103,7 @@ def _label_table(n: int) -> tuple[tuple[int, ...], ...]:
 def box_label(n: int, r: int, c: int) -> int:
     """Label of the staircase cell in row r, column c (both 1-based)."""
     check_rank(n)
-    if not 1 <= c <= r <= n:
+    if not (isinstance(r, int) and isinstance(c, int) and 1 <= c <= r <= n):
         raise ValueError(f"cell ({r}, {c}) is outside the rank-{n} staircase")
     return _label_table(n)[r - 1][c - 1]
 

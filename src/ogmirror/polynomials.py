@@ -14,9 +14,15 @@ the term order is the lexicographic order on the sorted exponent tuples.
 
 Rational expressions are unreduced numerator/denominator pairs; equality is
 decided by cross-multiplication, never by GCD cancellation.
+
+Every binary operator coerces its other operand one way: a polynomial
+operator takes a Polynomial or an int, a rational one also a
+RationalExpression, and any other operand gives NotImplemented, so Python
+raises TypeError (or decides == by identity).
 """
 
 import json
+from functools import wraps
 from typing import Callable, Iterable
 
 _QUANTUM_KIND, _TORUS_KIND, _PLUCKER_KIND = 0, 1, 2
@@ -88,6 +94,18 @@ def _monomial(exponents: dict) -> Monomial:
     return tuple(sorted(items))
 
 
+def _coerced(operator):
+    """The operator applied to ``self._coerce(other)``, or NotImplemented when
+    that is None, so Python tries the other operand or raises TypeError."""
+
+    @wraps(operator)
+    def coerced(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else operator(self, other)
+
+    return coerced
+
+
 def _merge(m1: Monomial, m2: Monomial) -> Monomial:
     exps = dict(m1)
     for var, exp in m2:
@@ -125,8 +143,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
-        value = _integer(value, "coefficient")
-        return cls.from_terms({(): value} if value else {})
+        return Polynomial([(value, {})])
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -147,24 +164,20 @@ class Polynomial:
 
     @classmethod
     def term(cls, coeff: int, exponents: dict) -> "Polynomial":
-        coeff = _integer(coeff, "coefficient")
-        return cls.from_terms({_monomial(exponents): coeff} if coeff else {})
+        return Polynomial([(coeff, exponents)])
 
     @staticmethod
     def _coerce(other) -> "Polynomial | None":
-        if isinstance(other, Polynomial):
-            return other
+        """other as a Polynomial, an int as a constant, or None."""
         if isinstance(other, int):
-            return Polynomial.constant(other)
-        return None
+            other = Polynomial.constant(other)
+        return other if isinstance(other, Polynomial) else None
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    @_coerced
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._terms == other._terms
 
     __hash__ = None
@@ -172,32 +185,24 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial.from_terms({m: -c for m, c in self._terms.items()})
 
+    @_coerced
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         acc = dict(self._terms)
         _accumulate(acc, other._terms)
         return Polynomial.from_terms(acc)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @_coerced
     def __mul__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         acc: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -325,20 +330,21 @@ class RationalExpression:
         self.numerator = numerator
         self.denominator = denominator
 
-    def __eq__(self, other) -> bool:
+    @staticmethod
+    def _coerce(other) -> "RationalExpression | None":
+        """other as a RationalExpression, a Polynomial or an int over 1, or None."""
         if isinstance(other, (Polynomial, int)):
             other = RationalExpression(other)
-        if not isinstance(other, RationalExpression):
-            return NotImplemented
+        return other if isinstance(other, RationalExpression) else None
+
+    @_coerced
+    def __eq__(self, other) -> bool:
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     __hash__ = None
 
+    @_coerced
     def __add__(self, other) -> "RationalExpression":
-        if isinstance(other, (Polynomial, int)):
-            other = RationalExpression(other)
-        if not isinstance(other, RationalExpression):
-            return NotImplemented
         return RationalExpression(
             self.numerator * other.denominator + other.numerator * self.denominator,
             self.denominator * other.denominator,
@@ -346,11 +352,8 @@ class RationalExpression:
 
     __radd__ = __add__
 
+    @_coerced
     def __mul__(self, other) -> "RationalExpression":
-        if isinstance(other, (Polynomial, int)):
-            other = RationalExpression(other)
-        if not isinstance(other, RationalExpression):
-            return NotImplemented
         return RationalExpression(
             self.numerator * other.numerator, self.denominator * other.denominator
         )

@@ -59,7 +59,7 @@ def plucker_poly(rows) -> Polynomial:
     return Polynomial.variable(plucker_var(rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
     """Levels of the box-moving recursion for the i-th denominator.
 
@@ -80,7 +80,7 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     return tuple(levels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
     """One-box promotions of the memoised denominator levels.
 

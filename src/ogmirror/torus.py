@@ -417,6 +417,12 @@ def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
     return table, pairs
 
 
+def _has_term_identity(n: int, term) -> bool:
+    """Whether a term has a derivation and a term-restriction identity: each
+    term of index at most n does, wherever it stands in its list."""
+    return term.index <= n
+
+
 def _term_residual(n: int, i: int, numerator, denominator) -> _Packed:
     """A restricted numerator minus its restricted denominator times the
     i-th term_restriction_factor: zero iff the term identity holds."""
@@ -484,8 +490,12 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     term, restrict(denominator) minus predicted_denominator_restriction;
     per term of index i <= n, restrict(numerator) minus restrict(denominator)
     times term_restriction_factor; and whether the restricted terms, added
-    as rational expressions, equal laurent_potential(n).  The verdict is
-    False when some denominator restricts to zero, as no quotient exists.
+    as rational expressions, equal laurent_potential(n).  Both residual
+    lists follow the order of the terms given, and a term's index, not its
+    place in the list, decides whether it has a term identity; a list that
+    lacks some terms fails only the Laurent verdict, as a partial sum is not
+    the Laurent form.  The verdict is False when some denominator restricts
+    to zero, as no quotient exists.
     A residual is zero iff its identity holds.  One dynamic program
     restricts exactly the diagrams these identities read: the Plücker
     variables of the terms and the two diagrams of laurent_potential.  A
@@ -498,7 +508,8 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     ]
     term_residuals = [
         _term_residual(n, term.index, *pair)
-        for term, pair in zip(terms[: n + 1], pairs)
+        for term, pair in zip(terms, pairs)
+        if _has_term_identity(n, term)
     ]
     holds = all(denominator for _, denominator in pairs) and (
         _quotient_sum(n, pairs) == _laurent_potential(n, table)

@@ -15,6 +15,9 @@ patched battery; so does a term whose restriction needs an exponent past
 the packed field maximum, which must fail every restriction check.  A
 fifth spells term 1's denominator with float rows, which no check may use
 to index the staircase: they fail as a variable that is not a diagram.
+The battery judges the terms it is given by their indices, not their
+places: a reversed list passes, and a list without its first two terms
+fails the Laurent assembly alone.
 """
 
 import dataclasses
@@ -222,6 +225,33 @@ def test_broken_potential_fails_named_checks(n, control):
     terms, expected = control(n)
     assert _failures(restriction_checks(n, terms)) == expected
     assert _nonzero_residuals(n, terms) == expected
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_restriction_checks_judge_the_terms_in_any_order(n):
+    results = restriction_checks(n, superpotential(n)[::-1])
+    assert len(results) == 2 * n + 4
+    assert not _failures(results)
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_a_partial_term_list_fails_only_the_laurent_assembly(n):
+    results = restriction_checks(n, superpotential(n)[2:])
+    assert _failures(results) == {("laurent_assembly", None)}
+    term_checks = [r.index for r in results if r.name == "term_restriction"]
+    assert term_checks == list(range(2, n + 1))
+
+
+@pytest.mark.parametrize("n", (3, 4, 6))
+def test_battery_verdicts_do_not_depend_on_term_order(n, monkeypatch):
+    def verdicts():
+        return {(r.name, r.index, r.passed) for r in run_checks(n)}
+
+    canonical = verdicts()
+    reversed_terms = superpotential(n)[::-1]
+    monkeypatch.setattr(checks, "superpotential", lambda rank: list(reversed_terms))
+    assert verdicts() == canonical
+    assert all(passed for _, _, passed in canonical)
 
 
 @pytest.mark.parametrize(

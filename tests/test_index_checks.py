@@ -2,7 +2,8 @@
 
 Each public function that takes an index checks the rank first, so a bad
 rank is reported before a bad index and the index bound is never computed
-from a rank that is not an int.
+from a rank that is not an int.  An index that is not an int is rejected by
+name even inside its range, also where the int spelling is already memoised.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ogmirror.diagrams import (
     add_box,
     addable_positions,
+    box_label,
     check_index,
     check_rank,
     full_columns,
@@ -18,8 +20,17 @@ from ogmirror.diagrams import (
     staircase_prefix,
 )
 from ogmirror.polynomials import Polynomial
-from ogmirror.potential import box_derivation, denominator_pair_levels, potential_term
-from ogmirror.torus import predicted_denominator_restriction, term_restriction_factor
+from ogmirror.potential import (
+    box_derivation,
+    denominator_pair_levels,
+    numerator_pair_levels,
+    potential_term,
+)
+from ogmirror.torus import (
+    predicted_denominator_restriction,
+    term_restriction_factor,
+    verify_term_restriction,
+)
 
 ONE = Polynomial.one()
 
@@ -40,6 +51,25 @@ INDEX_SITES = (
     (predicted_denominator_restriction, (-1,), "term index -1 outside 0..5"),
     (predicted_denominator_restriction, (6,), "term index 6 outside 0..5"),
     (term_restriction_factor, (5,), "term index 5 outside 0..4"),
+)
+
+# (function, in-range arguments after the rank with one float, message at rank 4)
+NON_INT_SITES = (
+    (staircase_prefix, (1.5,), "prefix length must be an int, got 1.5"),
+    (full_columns, (1.5,), "column count must be an int, got 1.5"),
+    (add_box, ((), 5.0), "label must be an int, got 5.0"),
+    (remove_box, ((1,), 2.5), "label must be an int, got 2.5"),
+    (addable_positions, ((), 5.0), "label must be an int, got 5.0"),
+    (removable_positions, ((1,), 2.5), "label must be an int, got 2.5"),
+    (denominator_pair_levels, (2.0,), "middle term index must be an int, got 2.0"),
+    (numerator_pair_levels, (3.0,), "middle term index must be an int, got 3.0"),
+    (box_derivation, (2.5, ONE), "derivation index must be an int, got 2.5"),
+    (potential_term, (2.5,), "term index must be an int, got 2.5"),
+    (predicted_denominator_restriction, (2.0,), "term index must be an int, got 2.0"),
+    (term_restriction_factor, (2.5,), "term index must be an int, got 2.5"),
+    (verify_term_restriction, (2.0,), "term index must be an int, got 2.0"),
+    (box_label, (2.0, 1), "cell (2.0, 1) is outside the rank-4 staircase"),
+    (box_label, (2, 1.0), "cell (2, 1.0) is outside the rank-4 staircase"),
 )
 
 
@@ -76,3 +106,19 @@ def test_rank_is_checked_before_the_index(site):
     with pytest.raises(ValueError) as raised:
         fn(4.5, *args)
     assert str(raised.value) == "rank must be an integer >= 2, got 4.5"
+
+
+@pytest.mark.parametrize("site", NON_INT_SITES, ids=_site_id)
+def test_non_int_index_is_rejected_by_name(site):
+    fn, args, message = site
+    # the int spelling is cached first, so a memo keyed by value cannot answer
+    fn(4, *(int(arg) if isinstance(arg, float) else arg for arg in args))
+    with pytest.raises(ValueError) as raised:
+        fn(4, *args)
+    assert str(raised.value) == message
+
+
+def test_check_index_rejects_a_non_int_in_range():
+    with pytest.raises(ValueError) as raised:
+        check_index("label", 2.0, 1, 4)
+    assert str(raised.value) == "label must be an int, got 2.0"

@@ -12,6 +12,7 @@ from ogmirror.polynomials import (
     variable_latex,
     variable_name,
 )
+from ogmirror.torus import restrict_plucker
 
 
 def a(i, j):
@@ -75,6 +76,50 @@ def test_integer_coercion_both_sides():
     assert 1 + poly == poly + 1
     assert 2 * poly == poly + poly
     assert 1 - poly == -(poly - 1)
+
+
+def _operand_cases():
+    """(id, expression, result or TypeError) for operands of every kind."""
+    poly = p(1, 0)
+    ratio = RationalExpression(poly, 2)
+    packed_one = restrict_plucker(3, (0, 0, 0))
+    packed_top = restrict_plucker(3, (1, 1, 1))
+    return (
+        ("p == str", lambda: poly == "x", False),
+        ("r == str", lambda: ratio == "x", False),
+        ("p != float", lambda: poly != 1.5, True),
+        ("p + str", lambda: poly + "x", TypeError),
+        ("str + p", lambda: "x" + poly, TypeError),
+        ("p - float", lambda: poly - 1.5, TypeError),
+        ("float - p", lambda: 1.5 - poly, TypeError),
+        ("p * str", lambda: poly * "x", TypeError),
+        ("float * p", lambda: 1.5 * poly, TypeError),
+        ("r + float", lambda: ratio + 1.5, TypeError),
+        ("float + r", lambda: 1.5 + ratio, TypeError),
+        ("r * str", lambda: ratio * "x", TypeError),
+        ("r + int", lambda: (ratio + 1).to_text(), "(2 + p[1,0]) / (2)"),
+        ("int * r", lambda: (2 * ratio).to_text(), "(2*p[1,0]) / (2)"),
+        ("packed == other rank", lambda: packed_one == restrict_plucker(2, (0, 0)), True),
+        ("packed + int", lambda: type(packed_one + 1), Polynomial),
+        ("packed - p", lambda: type(packed_top - poly), Polynomial),
+        ("packed + str", lambda: packed_top + "x", TypeError),
+    )
+
+
+OPERAND_CASES = _operand_cases()
+
+
+@pytest.mark.parametrize(
+    "expression, expected",
+    [case[1:] for case in OPERAND_CASES],
+    ids=[case[0] for case in OPERAND_CASES],
+)
+def test_operand_protocol(expression, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            expression()
+    else:
+        assert expression() == expected
 
 
 @pytest.mark.parametrize(
