@@ -2,8 +2,13 @@
 
 Subcommands: diagrams, potential, restrict, verify, hasse.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success (all checks pass),
-1 verification failure, 2 usage or parse error.  All output is
-deterministic: identical invocations produce byte-identical bytes.
+1 verification failure, 2 usage or parse error, or out of memory.  All
+output is deterministic: identical invocations produce byte-identical bytes.
+
+Each command imports the layers it uses when it runs, so `hasse` and
+`diagrams` load only the box calculus.  `run_checks` and `restrict_plucker`
+stay attributes of this module, loading their layer on the first call, so a
+caller can still replace them here.
 """
 
 import json
@@ -11,10 +16,21 @@ import sys
 
 import click
 
-from .checks import all_passed, run_checks
-from .diagrams import all_diagrams, format_diagram, hasse_edges, parse_diagram
-from .potential import potential_to_json, potential_to_latex, superpotential
-from .torus import restrict_plucker
+from .diagrams import all_diagrams, format_diagram, hasse_dot, parse_diagram
+
+
+def run_checks(n):
+    """checks.run_checks, its layer loaded on the first call."""
+    from .checks import run_checks
+
+    return run_checks(n)
+
+
+def restrict_plucker(n, rows):
+    """torus.restrict_plucker, its layer loaded on the first call."""
+    from .torus import restrict_plucker
+
+    return restrict_plucker(n, rows)
 
 
 def _validate_rank(ctx, param, value):
@@ -41,10 +57,9 @@ def diagrams(n, fmt):
     """List all valid diagrams for the rank, in lexicographic order."""
     rows_list = all_diagrams(n)
     if fmt == "json":
-        click.echo(json.dumps([list(rows) for rows in rows_list]))
+        click.echo(json.dumps(rows_list))
     else:
-        for rows in rows_list:
-            click.echo(format_diagram(rows))
+        click.echo("\n".join(map(format_diagram, rows_list)))
 
 
 @main.command()
@@ -54,6 +69,8 @@ def diagrams(n, fmt):
 )
 def potential(n, fmt):
     """Print the n+2 superpotential terms in index order."""
+    from .potential import potential_to_json, potential_to_latex, superpotential
+
     terms = superpotential(n)
     if fmt == "json":
         click.echo(json.dumps(potential_to_json(terms), indent=2))
@@ -95,6 +112,8 @@ def restrict(n, diagram_text, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(n, start, stop, fmt):
     """Run the full check battery for one rank or a range of ranks."""
+    from .checks import all_passed
+
     if n is not None and (start is not None or stop is not None):
         raise click.UsageError("use either --n or --from/--to, not both")
     if n is not None:
@@ -147,13 +166,29 @@ def verify(n, start, stop, fmt):
 @click.option("--format", "fmt", type=click.Choice(["dot"]), default="dot")
 def hasse(n, fmt):
     """Emit the diagram poset as a DOT graph, edges labeled by added boxes."""
-    names = {rows: format_diagram(rows) for rows in all_diagrams(n)}
-    lines = ["digraph hasse {"]
-    lines += [f'  "{name}";' for name in names.values()]
-    for lower, upper, label in hasse_edges(n):
-        lines.append(f'  "{names[lower]}" -> "{names[upper]}" [label={label}];')
-    lines.append("}")
-    click.echo("\n".join(lines))
+    for chunk in hasse_dot(n):
+        click.echo(chunk, nl=False)
+
+
+def _exit_2_when_out_of_memory(command):
+    """Turn a MemoryError in the command into one stderr line and exit 2."""
+    callback = command.callback
+
+    def guarded(**params):
+        try:
+            return callback(**params)
+        except MemoryError:
+            pass  # report once the handler has let go of the frames holding memory
+        n, start, stop = (params.get(key) for key in ("n", "start", "stop"))
+        ranks = f"rank {n}" if n is not None else f"ranks {start} to {stop}"
+        click.echo(f"Error: {command.name} ran out of memory at {ranks}", err=True)
+        sys.exit(2)
+
+    command.callback = guarded
+
+
+for _command in main.commands.values():
+    _exit_2_when_out_of_memory(_command)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ cells are indexed by label, a label that fits twice raises StructuralError.
 """
 
 from functools import lru_cache
+from itertools import chain, islice
 from typing import NamedTuple
 
 Diagram = tuple[int, ...]
@@ -212,8 +213,13 @@ def box_moves(n: int, pair: DiagramPair) -> list[DiagramPair]:
     ascending label order.
     """
     first, second = pair
-    shrunk = _shrunk(n, diagram(n, first))
-    grown = _grown(n, diagram(n, second))
+    return _box_moves(n, diagram(n, first), diagram(n, second))
+
+
+def _box_moves(n: int, first: Diagram, second: Diagram) -> list[DiagramPair]:
+    """box_moves of two valid full-length diagrams, unchecked."""
+    shrunk = _shrunk(n, first)
+    grown = _grown(n, second)
     return [(shrunk[label], grown[label]) for label in sorted(shrunk) if label in grown]
 
 
@@ -251,15 +257,72 @@ def hasse_edges(n: int) -> tuple[tuple[Diagram, Diagram, int], ...]:
     """All covering pairs (smaller, larger, label of the added box), sorted.
 
     The larger diagrams are the tuples of all_diagrams, shared, not copied.
+    Growing a lower row gives a smaller tuple, so each diagram's covers,
+    bottom row first, and the diagrams in order are already sorted.
     """
     diagrams = all_diagrams(n)
     canonical = {rows: rows for rows in diagrams}
-    edges = [
+    return tuple(
         (rows, canonical[grown], label)
         for rows in diagrams
-        for label, grown in _grown(n, rows).items()
-    ]
-    return tuple(sorted(edges))
+        for label, grown in reversed(_grown(n, rows).items())
+    )
+
+
+# hasse_dot yields its text in chunks of this many lines: one write
+# per chunk, never one per line (each flushes) nor one string of the whole
+# graph (26 MB at rank 16).
+DOT_CHUNK_LINES = 4096
+
+
+def hasse_dot(n: int):
+    """The DOT text of the diagram poset, in chunks of DOT_CHUNK_LINES lines.
+
+    The same text as one node line per diagram of all_diagrams, then one
+    edge line per entry of hasse_edges, built row by row as all_diagrams
+    enumerates: each prefix carries its name and its covers, since
+    appending a row keeps every cover of the prefix (a row below a box only
+    gains room) and adds at most one, at the new row's end cell.  A cover
+    is kept as its name up to the row it grows, so a full diagram's cover
+    names are one concatenation each.  The whole poset is built, and a
+    label that fits two cells of one diagram raises StructuralError, before
+    the first chunk.
+    """
+    check_rank(n)
+    labels = _label_table(n)
+    # prefix name, last row, covers (cover name up to the grown row, length
+    # of the prefix name there, label) bottom row first, bit mask of labels
+    level = [("", 0, (), 0)]
+    for r, row_labels in enumerate(labels, 1):
+        digits = [("," if r > 1 else "") + str(c) for c in range(r + 1)]
+        grown = []
+        for name, above, covers, mask in level:
+            top = r + 1 if above == r - 1 else above + 1
+            for c in range(top - 1):
+                label = row_labels[c]
+                if mask >> label & 1:
+                    rows = tuple(map(int, name.split(","))) if name else ()
+                    raise StructuralError(
+                        f"label {label} is addable twice in"
+                        f" {rows + (c,) + (0,) * (n - r)}"
+                    )
+                head = name + digits[c]
+                cover = (name + digits[c + 1], len(head), label)
+                grown.append((head, c, (cover,) + covers, mask | 1 << label))
+            grown.append((name + digits[top - 1], top - 1, covers, mask))
+        level = grown
+    lines = chain(
+        ["digraph hasse {\n"],
+        (f'  "{name}";\n' for name, _, _, _ in level),
+        (
+            f'  "{name}" -> "{head}{name[k:]}" [label={label}];\n'
+            for name, _, covers, _ in level
+            for head, k, label in covers
+        ),
+        ["}\n"],
+    )
+    while chunk := "".join(islice(lines, DOT_CHUNK_LINES)):
+        yield chunk
 
 
 def format_diagram(rows) -> str:

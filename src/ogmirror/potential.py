@@ -24,10 +24,10 @@ from functools import lru_cache
 from .diagrams import (
     DiagramPair,
     StructuralError,
+    _box_moves,
     _grown,
     add_box,
     add_unique_box,
-    box_moves,
     check_index,
     check_rank,
     empty_diagram,
@@ -67,7 +67,9 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     holds every pair reached from level j by moving one box from the first
     diagram to the second.  The recursion stops at the first empty level,
     which happens within binomial(i, 2) + 1 levels because the first
-    component loses a box per move.
+    component loses a box per move.  Every diagram the recursion reads is
+    one it built from valid diagrams, so it moves boxes without
+    re-validating them.
     """
     check_rank(n)
     check_index("middle term index", i, 2, n - 1)
@@ -75,7 +77,9 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     levels = []
     while level:
         levels.append(tuple(sorted(level)))
-        moved = {after for pair in level for after in box_moves(n, pair)}
+        moved = {
+            after for first, second in level for after in _box_moves(n, first, second)
+        }
         level = sorted(moved)
     return tuple(levels)
 

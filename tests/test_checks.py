@@ -17,7 +17,9 @@ fifth spells term 1's denominator with float rows, which no check may use
 to index the staircase: they fail as a variable that is not a diagram.
 The battery judges the terms it is given by their indices, not their
 places: a reversed list passes, and a list without its first two terms
-fails the Laurent assembly alone.
+fails the Laurent assembly alone.  Every potential that differs from the
+canonical one in a single monomial of a single numerator or denominator,
+dropped, negated or doubled, fails the restriction checks.
 """
 
 import dataclasses
@@ -242,6 +244,34 @@ def test_a_partial_term_list_fails_only_the_laurent_assembly(n):
     assert term_checks == list(range(2, n + 1))
 
 
+def single_monomial_mutants(n):
+    """Every potential with one monomial of one numerator or denominator
+    dropped, negated or doubled."""
+    terms = superpotential(n)
+    for k, term in enumerate(terms):
+        for part in ("numerator", "denominator"):
+            poly = getattr(term, part)
+            for mono, coeff in poly.sorted_terms():
+                for mutated in (None, -coeff, 2 * coeff):
+                    mutant_terms = dict(poly.sorted_terms())
+                    if mutated is None:
+                        del mutant_terms[mono]
+                    else:
+                        mutant_terms[mono] = mutated
+                    mutant = list(terms)
+                    mutant[k] = dataclasses.replace(
+                        term, **{part: Polynomial.from_terms(mutant_terms)}
+                    )
+                    yield mutant
+
+
+@pytest.mark.parametrize("n, count", ((3, 33), (4, 48), (5, 66), (6, 96)))
+def test_every_single_monomial_mutant_fails_the_restriction_checks(n, count):
+    mutants = list(single_monomial_mutants(n))
+    assert len(mutants) == count
+    assert not any(all_passed(restriction_checks(n, mutant)) for mutant in mutants)
+
+
 @pytest.mark.parametrize("n", (3, 4, 6))
 def test_battery_verdicts_do_not_depend_on_term_order(n, monkeypatch):
     def verdicts():
@@ -413,11 +443,11 @@ def test_battery_restricts_only_the_diagrams_it_reads(n, monkeypatch):
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_run_checks_runs_each_pair_recursion_once(n, monkeypatch):
     calls = []
-    moves = potential.box_moves
+    moves = potential._box_moves
 
-    def counting_moves(rank, pair):
-        calls.append(pair)
-        return moves(rank, pair)
+    def counting_moves(rank, first, second):
+        calls.append((first, second))
+        return moves(rank, first, second)
 
     # only the numerator promotion calls _grown through potential
     promoted = []
@@ -429,7 +459,7 @@ def test_run_checks_runs_each_pair_recursion_once(n, monkeypatch):
 
     potential.denominator_pair_levels.cache_clear()
     potential.numerator_pair_levels.cache_clear()
-    monkeypatch.setattr(potential, "box_moves", counting_moves)
+    monkeypatch.setattr(potential, "_box_moves", counting_moves)
     monkeypatch.setattr(potential, "_grown", counting_grown)
     run_checks(n)
     pairs = [

@@ -5,8 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from _bruteforce import subsequence_count
+from ogmirror import diagrams
 from ogmirror.cli import main
-from ogmirror.diagrams import all_diagrams, format_diagram
+from ogmirror.diagrams import all_diagrams, format_diagram, hasse_dot, hasse_edges
 from ogmirror.torus import restrict_plucker
 from test_checks import (
     flipped_level_sign,
@@ -180,6 +181,40 @@ def test_verify_reports_failures_with_exit_code_1(runner, monkeypatch):
     assert "residual q" in result.stderr
 
 
+def _exhausted(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "target, args, message",
+    (
+        (
+            "ogmirror.checks.run_checks",
+            ["verify", "--n", "11"],
+            "verify ran out of memory at rank 11",
+        ),
+        (
+            "ogmirror.checks.run_checks",
+            ["verify", "--from", "2", "--to", "11", "--format", "json"],
+            "verify ran out of memory at ranks 2 to 11",
+        ),
+        (
+            "ogmirror.torus.restrict_plucker",
+            ["restrict", "--n", "14", "--diagram", "1,2,2,1,1"],
+            "restrict ran out of memory at rank 14",
+        ),
+        ("ogmirror.cli.hasse_dot", ["hasse", "--n", "20"], "hasse ran out of memory at rank 20"),
+    ),
+)
+def test_out_of_memory_exits_2_with_one_message(runner, monkeypatch, target, args, message):
+    monkeypatch.setattr(target, _exhausted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {message}\n"
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_verify_fails_on_a_broken_potential(runner, monkeypatch):
     terms, _ = flipped_level_sign(4)
     monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))
@@ -294,6 +329,34 @@ def test_hasse_n4_shape(runner):
     edge_lines = [line for line in lines if "->" in line]
     assert len(node_lines) == 16
     assert len(edge_lines) == 20
+
+
+def _dot_rendering(n):
+    """The DOT text of the rank-n poset, rendered here from the diagram list
+    and the sorted covering pairs."""
+    names = {rows: format_diagram(rows) for rows in all_diagrams(n)}
+    lines = ["digraph hasse {"]
+    lines += [f'  "{name}";' for name in names.values()]
+    lines += [
+        f'  "{names[lower]}" -> "{names[upper]}" [label={label}];'
+        for lower, upper, label in sorted(hasse_edges(n))
+    ]
+    return "\n".join(lines) + "\n}\n"
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_hasse_matches_an_independent_rendering(runner, n):
+    result = runner.invoke(main, ["hasse", "--n", str(n)])
+    assert result.exit_code == 0
+    assert result.stdout == _dot_rendering(n)
+
+
+@pytest.mark.parametrize("lines", (1, 2, 7, 16))
+def test_hasse_chunks_join_to_the_same_text(lines, monkeypatch):
+    monkeypatch.setattr(diagrams, "DOT_CHUNK_LINES", lines)
+    chunks = list(hasse_dot(5))
+    assert len(chunks) > 1
+    assert "".join(chunks) == _dot_rendering(5)
 
 
 def test_hasse_rejects_latex(runner):

@@ -2,8 +2,10 @@ from collections import deque
 from itertools import product
 
 import pytest
+from click.testing import CliRunner
 
 from ogmirror import checks, diagrams
+from ogmirror.cli import main
 from ogmirror.diagrams import (
     LabeledBox,
     StructuralError,
@@ -304,6 +306,13 @@ def _relabel(monkeypatch, n, r, c, label):
     )
 
 
+def _assert_hasse_fails(n):
+    """The hasse command raises StructuralError before printing any graph."""
+    result = CliRunner().invoke(main, ["hasse", "--n", str(n)])
+    assert isinstance(result.exception, StructuralError)
+    assert result.stdout == ""
+
+
 def test_label_addable_twice_is_a_structural_error(monkeypatch):
     # (1,2,1,0) accepts label 3 at (3,2) and label 1 at (4,1); relabel (4,1) to 3
     _relabel(monkeypatch, 4, 4, 1, 3)
@@ -315,6 +324,7 @@ def test_label_addable_twice_is_a_structural_error(monkeypatch):
         box_moves(4, ((1, 2, 2, 0), rows))
     with pytest.raises(StructuralError):
         hasse_edges(4)
+    _assert_hasse_fails(4)
     result = checks._unique_positions(4)
     assert not result.passed
     assert result.detail.startswith("violations: ")
@@ -333,6 +343,7 @@ def test_label_removable_twice_is_a_structural_error(monkeypatch):
     # (1,1,0,0) now accepts label 4 at (2,2) and at (3,1)
     with pytest.raises(StructuralError):
         hasse_edges(4)
+    _assert_hasse_fails(4)
     result = checks._unique_positions(4)
     assert not result.passed
     assert "('removable', (1, 2, 1, 0), 4)" in result.detail
