@@ -80,11 +80,12 @@ def is_valid(n: int, rows) -> bool:
 
 
 def diagram(n: int, rows) -> Diagram:
-    """Canonicalize ``rows`` to the full-length vector, checking validity."""
+    """Canonicalize ``rows`` to the full-length vector of plain ints (a bool
+    becomes its int), checking validity."""
     rows = tuple(rows)
     if not is_valid(n, rows):
         raise ValueError(f"not a valid diagram for rank {n}: {rows}")
-    return rows + (0,) * (n - len(rows))
+    return tuple(map(int, rows)) + (0,) * (n - len(rows))
 
 
 def box_count(rows) -> int:

@@ -12,6 +12,10 @@ variable; a polynomial maps monomials to nonzero integer coefficients.
 Coefficients are Python ints throughout, so all arithmetic is exact, and
 the term order is the lexicographic order on the sorted exponent tuples.
 
+A Plücker variable's rank is the length of its rows, so p[1,1] is the
+rank-2 variable and not a short spelling of p[1,1,0,0]; the rank-n
+consumers (restriction and the box derivation) reject every other length.
+
 Rational expressions are unreduced numerator/denominator pairs; equality is
 decided by cross-multiplication, never by GCD cancellation.
 
@@ -23,6 +27,7 @@ raises TypeError (or decides == by identity).
 
 import json
 from functools import wraps
+from operator import index
 from typing import Callable, Iterable
 
 _QUANTUM_KIND, _TORUS_KIND, _PLUCKER_KIND = 0, 1, 2
@@ -39,8 +44,22 @@ def torus_var(i: int, j: int) -> Variable:
 
 
 def plucker_var(rows) -> Variable:
-    """The Plücker variable indexed by a (canonical) diagram row vector."""
-    return (_PLUCKER_KIND, tuple(rows))
+    """The Plücker variable indexed by a (canonical) diagram row vector.
+
+    Its rows are plain ints, a bool becoming its int; a row that is not an
+    int raises ValueError, so equal rows spelt with floats or bools can
+    never stand for a second variable of one diagram.
+    """
+    try:
+        return _plucker(tuple(map(index, rows)))
+    except TypeError:
+        raise ValueError(f"Plücker rows must be ints, got {rows!r}") from None
+
+
+def _plucker(rows: tuple) -> Variable:
+    """The Plücker variable of a tuple of int rows, unchecked: for diagrams
+    the box calculus built, and for naming rows that were built by hand."""
+    return (_PLUCKER_KIND, rows)
 
 
 def is_quantum(var: Variable) -> bool:

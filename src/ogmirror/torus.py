@@ -43,23 +43,31 @@ adding _position_bits(n)[t].  A packed polynomial maps such ints to nonzero
 integer coefficients and carries an upper bound on every field: 1 for a
 restriction (0 for the empty diagram's), the sum of the bounds for a
 product and their maximum for a sum.  A product whose bound would exceed
-255 raises OverflowError instead of carrying one field into the next.
+255 raises OverflowError instead of carrying one field into the next; one
+function, _product_bound, makes that check for every product.
+
+Restricting a polynomial expands it into one accumulator.  Every path sum
+has coefficient 1 on each of its keys, which _path_sums establishes and the
+expansion relies on, and q restricts to the single key 1.  So a monomial
+c * f_1 * ... * f_k adds c at the sum of every choice of one key per factor,
+with no intermediate polynomial, and the keys that cancel are dropped once
+for the whole polynomial.
 
 The packed polynomial is itself a Polynomial of its rank, and every function
 here returns one: it decodes its fields into tuple monomials on each read
-of that kind, and stores no decoded copy.  A key's little-endian bytes are its exponent row in canonical
-order, so a restriction, squarefree with coefficient 1, renders from one
-sort of those rows and one pass that selects every factor's name from the
-joined rows.  restriction_residuals restricts each term's numerator and
-denominator once and decides every identity from those pairs; the restricted
-quotients add, and compare with the Laurent form, as RationalExpression
-does, by exact cross-multiplication.
+of that kind, and stores no decoded copy.  A key's little-endian bytes are
+its exponent row in canonical order, so a restriction, squarefree with
+coefficient 1, renders from one sort of those rows and one pass that
+selects every factor's name from the joined rows.  restriction_residuals
+restricts each term's numerator and denominator once and decides every
+identity from those pairs; the restricted quotients add, and compare with
+the Laurent form, as RationalExpression does, by exact cross-multiplication.
 """
 
 import json
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import compress, cycle, starmap
+from itertools import compress, cycle, product, starmap
 from operator import or_
 
 from .diagrams import (
@@ -88,6 +96,18 @@ from .potential import check_plucker, potential_term, superpotential
 
 _FIELD_BITS = 8
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
+
+
+def _product_bound(left: int, right: int) -> int:
+    """The field bound of a product of two packed polynomials with these
+    bounds: their sum, which must not exceed the packed field maximum."""
+    bound = left + right
+    if bound > _FIELD_MAX:
+        raise OverflowError(
+            f"product exponent bound {bound} exceeds the packed field"
+            f" maximum {_FIELD_MAX}"
+        )
+    return bound
 
 
 class _Packed(Polynomial):
@@ -153,25 +173,14 @@ class _Packed(Polynomial):
     def __mul__(self, other):
         if not self._same_packing(other):
             return super().__mul__(other)
-        bound = self.bound + other.bound
-        if bound > _FIELD_MAX:
-            raise OverflowError(
-                f"product exponent bound {bound} exceeds the packed field"
-                f" maximum {_FIELD_MAX}"
-            )
-        small, large = sorted((self.terms, other.terms), key=len)
-        if len(small) == 1:
-            ((shift, scale),) = small.items()
-            terms = {key + shift: coeff * scale for key, coeff in large.items()}
-            return _Packed(self.n, terms, bound)
+        bound = _product_bound(self.bound, other.bound)
         acc: dict = {}
         get = acc.get
-        for k1, c1 in small.items():
-            for k2, c2 in large.items():
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-        terms = {key: coeff for key, coeff in acc.items() if coeff}
-        return _Packed(self.n, terms, bound)
+        return _Packed(self.n, {key: c for key, c in acc.items() if c}, bound)
 
     def _squarefree_factors(self, names: list):
         """The names of each term's factors in canonical term order, or None.
@@ -265,9 +274,10 @@ def _path_sums(n: int, targets) -> dict:
     written at t is read at t as a smaller one.  The two summands are
     disjoint and every coefficient is 1, so the lists are concatenated,
     never merged, and each target's list becomes a packed polynomial once,
-    at the end.  Every coordinate sits at one word position, so two
-    subsequences never give one key: a repeated key can only be a fault of
-    the program and raises RuntimeError.
+    at the end, with coefficient 1 on every key: _restrict relies on that
+    to expand products without multiplying coefficients.  Every coordinate
+    sits at one word position, so two subsequences never give one key: a
+    repeated key can only be a fault of the program and raises RuntimeError.
     """
     word = reduced_word(n)
     filed: dict = {label: [] for label, _ in word}
@@ -339,22 +349,34 @@ def _restriction_table(n: int, polys, *extra: Diagram) -> dict:
 def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
     """Packed restriction of a polynomial in Plücker variables and q.
 
-    table holds the path sum of every Plücker variable of poly.
+    table holds the path sum of every Plücker variable of poly.  Each
+    monomial c * f_1 * ... * f_k expands straight into one accumulator for
+    the whole polynomial: every factor is a path sum, whose coefficients
+    _path_sums makes all 1, or q, the single key 1 with coefficient 1, so
+    each choice of one key per factor adds c at the sum of the keys chosen.
+    Cancelled keys are dropped once, at the end, and the result's bound is
+    the largest sum of factor bounds over the monomials.  The monomials are
+    read in canonical order, so a torus variable, or a partial product
+    bound past the packed field maximum, raises at the first monomial that
+    has one.
     """
-    total = _Packed(n, {}, 0)
+    quantum = _Packed(n, {1: 1}, 1)
+    acc: dict = {}
+    get = acc.get
+    bound = 0
     for mono, coeff in poly.sorted_terms():
-        piece = _Packed(n, {0: coeff}, 0)
+        factors = []
+        mono_bound = 0
         for var, exp in mono:
-            if is_plucker(var):
-                factor = table[var[1]]
-            elif is_quantum(var):
-                factor = _Packed(n, {1: 1}, 1)
-            else:
+            if not (is_plucker(var) or is_quantum(var)):
                 raise ValueError(f"input already contains the torus variable {var!r}")
-            for _ in range(exp):
-                piece = piece * factor
-        total = total + piece
-    return total
+            factor = table[var[1]] if is_plucker(var) else quantum
+            factors += [factor.terms] * exp
+            mono_bound = reduce(_product_bound, [factor.bound] * exp, mono_bound)
+        for key in map(sum, product(*factors)):
+            acc[key] = get(key, 0) + coeff
+        bound = max(bound, mono_bound)
+    return _Packed(n, {key: c for key, c in acc.items() if c}, bound)
 
 
 def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:

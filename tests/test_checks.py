@@ -19,7 +19,9 @@ The battery judges the terms it is given by their indices, not their
 places: a reversed list passes, and a list without its first two terms
 fails the Laurent assembly alone.  Every potential that differs from the
 canonical one in a single monomial of a single numerator or denominator,
-dropped, negated or doubled, fails the restriction checks.
+dropped, negated or doubled, fails the restriction checks.  The boundary
+of what the battery judges is pinned too: a term shifted by a spinor
+quadric, a Plücker relation that vanishes on OG, passes every check.
 """
 
 import dataclasses
@@ -29,14 +31,18 @@ import pytest
 from ogmirror import checks, potential, torus
 from ogmirror.checks import DETAIL_TERMS, all_passed, restriction_checks, run_checks
 from ogmirror.diagrams import all_diagrams, staircase, staircase_prefix
-from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var
+from ogmirror.polynomials import _PLUCKER_KIND, QUANTUM, Polynomial, plucker_var
 from ogmirror.potential import (
     box_derivation,
     denominator_pair_levels,
     signed_pair_sum,
     superpotential,
 )
-from ogmirror.torus import restrict_plucker, restriction_residuals
+from ogmirror.torus import restrict_plucker, restrict_polynomial, restriction_residuals
+
+
+def _p(*rows):
+    return Polynomial.variable(plucker_var(rows))
 
 
 def _leading(poly):
@@ -173,9 +179,11 @@ def trimmed_plucker_spelling(n):
 
 def float_rows(n):
     """Term 1's denominator p[1,...,1] spelt with float rows: it is not a
-    diagram, so the derivation rejects it and nothing can be restricted."""
+    diagram, so the derivation rejects it and nothing can be restricted.
+    plucker_var rejects such rows, so the variable is built as a raw
+    (kind, rows) tuple, which keeps the guards downstream of it pinned."""
     terms = superpotential(n)
-    floats = Polynomial.variable(plucker_var((1.0,) * n))
+    floats = Polynomial.variable((_PLUCKER_KIND, (1.0,) * n))
     terms[1] = dataclasses.replace(terms[1], denominator=floats)
     restriction = {("denominator_restriction", i) for i in range(n + 2)}
     restriction |= {("term_restriction", i) for i in range(n + 1)}
@@ -270,6 +278,43 @@ def test_every_single_monomial_mutant_fails_the_restriction_checks(n, count):
     mutants = list(single_monomial_mutants(n))
     assert len(mutants) == count
     assert not any(all_passed(restriction_checks(n, mutant)) for mutant in mutants)
+
+
+def test_a_relation_shifted_potential_passes_the_battery_checks():
+    """Shifting term 2 by a spinor quadric Q is invisible to the battery.
+
+    Q is one of the 10 four-term relations with coefficients +-1 among the
+    136 products of two rank-4 Plücker variables, as many as the spinor
+    quadrics at n = 4: it is a nonzero Plücker polynomial that vanishes on
+    OG(5, 10), so its restriction is zero.  Adding Q to term 2's denominator
+    and box_derivation(Q) to its numerator changes the Plücker expression but
+    not the function on OG.  The battery judges that function, so the mutant
+    passes the derivation identity, the degree sum and every restriction
+    check.  run_checks cannot be fed this mutant: it builds its own terms
+    from the pair levels it checks.
+    """
+    n = 4
+    q = (
+        _p(0, 0, 0, 0) * _p(1, 2, 3, 2)
+        - _p(1, 0, 0, 0) * _p(1, 2, 2, 2)
+        + _p(1, 1, 1, 0) * _p(1, 2, 1, 1)
+        - _p(1, 1, 1, 1) * _p(1, 2, 1, 0)
+    )
+    assert q and q.term_count() == 4
+    assert restrict_polynomial(n, q) == 0
+    derived = box_derivation(n, 2, q)
+    assert derived.term_count() == 4
+    terms = superpotential(n)
+    term = terms[2]
+    terms[2] = dataclasses.replace(
+        term, numerator=term.numerator + derived, denominator=term.denominator + q
+    )
+    assert terms[2].denominator != term.denominator
+    assert checks._derivation_identity(n, terms[2]).passed
+    assert checks._degree_sum(n, terms).passed
+    results = restriction_checks(n, terms)
+    assert len(results) == (n + 2) + (n + 1) + 1
+    assert all_passed(results)
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))

@@ -67,6 +67,9 @@ def test_validity_rejects_rows_that_are_not_ints():
 
 def test_diagram_pads_and_validates():
     assert diagram(4, (1, 2)) == (1, 2, 0, 0)
+    bools = diagram(4, (True, True, False, False))
+    assert bools == (1, 1, 0, 0)
+    assert [type(row) for row in bools] == [int] * 4
     with pytest.raises(ValueError):
         diagram(3, (1, 1, 2))
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,25 @@ def test_variable_names():
     assert variable_name(QUANTUM) == "q"
     assert variable_name(torus_var(3, 2)) == "a[3,2]"
     assert variable_name(plucker_var((1, 2, 0, 0))) == "p[1,2,0,0]"
+
+
+def test_plucker_rows_have_one_spelling():
+    """A row that is not an int raises at construction, so whichever operand
+    comes first, no sum can carry a float spelling of a diagram; bool rows
+    become their ints."""
+    ints = p(1, 1, 1, 1)
+    for rows in ((1.0,) * 4, (1, 1, 1.0, 1), (1, 1, "1", 1), (1, 1, None, 1)):
+        message = re.escape(f"Plücker rows must be ints, got {rows!r}")
+        with pytest.raises(ValueError, match=message):
+            ints + p(*rows)
+        with pytest.raises(ValueError, match=message):
+            p(*rows) + ints
+    var = plucker_var((True, True, False, True))
+    assert var == plucker_var((1, 1, 0, 1))
+    assert [type(row) for row in var[1]] == [int] * 4
+    for total in (p(*(True,) * 4) + ints, ints + p(*(True,) * 4)):
+        assert total.to_text() == "2*p[1,1,1,1]"
+    assert plucker_var(row for row in (1, 0)) == plucker_var([1, 0])
 
 
 def test_variable_latex():

@@ -1,6 +1,8 @@
 import functools
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -275,6 +277,81 @@ def test_packed_restrictions_decode_to_polynomial_reference(n):
     ):
         assert packed.numerator.sorted_terms() == expected.numerator.sorted_terms()
         assert packed.denominator.sorted_terms() == expected.denominator.sorted_terms()
+
+
+# Four products whose alternating sum is a spinor quadric: nonzero in the
+# Plücker variables, zero on OG (which at n = 3 is a quadric in P^7).
+_QUADRIC_PAIRS = {
+    3: (
+        ((0, 0, 0), (1, 2, 3)),
+        ((1, 0, 0), (1, 2, 2)),
+        ((1, 1, 0), (1, 2, 1)),
+        ((1, 1, 1), (1, 2, 0)),
+    ),
+    4: (
+        ((0, 0, 0, 0), (1, 2, 3, 2)),
+        ((1, 0, 0, 0), (1, 2, 2, 2)),
+        ((1, 1, 1, 0), (1, 2, 1, 1)),
+        ((1, 1, 1, 1), (1, 2, 1, 0)),
+    ),
+}
+
+
+def _restriction_shapes(n):
+    """Polynomials of shapes the battery never forms, from a seeded sweep:
+    zero, constants, single variables, squares of Plücker variables, powers
+    of q, monomials of degree 3, signed sums, and at n = 3 and 4 sums whose
+    restrictions cancel in whole or in part."""
+    rng = random.Random(n)
+    variables = [plucker_var(rows) for rows in all_diagrams(n)] + [QUANTUM]
+
+    def monomial(degree):
+        coeff = rng.choice([c for c in range(-5, 6) if c])
+        return Polynomial.term(coeff, Counter(rng.choices(variables, k=degree)))
+
+    shapes = [Polynomial.zero(), Polynomial.constant(1), Polynomial.constant(-7)]
+    shapes += [Polynomial.variable(var) for var in variables]
+    shapes += [Polynomial.variable(var, 2) for var in variables]
+    shapes += [Polynomial.variable(QUANTUM, power) for power in (3, 7)]
+    shapes += [monomial(3) for _ in range(12)]
+    for _ in range(12):
+        shapes.append(sum((monomial(rng.randint(0, 3)) for _ in range(4)), 0))
+    if n in _QUADRIC_PAIRS:
+        quadric = sum(
+            (-1) ** k * p(*first) * p(*second)
+            for k, (first, second) in enumerate(_QUADRIC_PAIRS[n])
+        )
+        shapes += [quadric, 3 * quadric * Polynomial.variable(rng.choice(variables))]
+        shapes += [quadric + monomial(2) for _ in range(4)]
+    return shapes
+
+
+def _expected_bound(poly):
+    """The largest sum of factor bounds over the monomials: 1 for q and for
+    every Plücker variable but the empty diagram's, which restricts to 1."""
+    return max(
+        (
+            sum(exp for var, exp in mono if var == QUANTUM or any(var[1]))
+            for mono, _ in poly.sorted_terms()
+        ),
+        default=0,
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_restriction_of_shapes_the_battery_never_forms(n):
+    table = reference_restrict_all(n)
+    cancelled = 0
+    for poly in _restriction_shapes(n):
+        restricted = restrict_polynomial(n, poly)
+        expected = reference_restrict(n, table, poly)
+        assert restricted.sorted_terms() == expected.sorted_terms()
+        assert restricted == expected
+        assert 0 not in restricted.terms.values()
+        assert restricted.bound == _expected_bound(poly)
+        cancelled += bool(poly) and not restricted
+    # the quadric and its multiple restrict to zero
+    assert cancelled == (2 if n in _QUADRIC_PAIRS else 0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
