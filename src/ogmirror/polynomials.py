@@ -51,15 +51,9 @@ def plucker_var(rows) -> Variable:
     never stand for a second variable of one diagram.
     """
     try:
-        return _plucker(tuple(map(index, rows)))
+        return (_PLUCKER_KIND, tuple(map(index, rows)))
     except TypeError:
         raise ValueError(f"Plücker rows must be ints, got {rows!r}") from None
-
-
-def _plucker(rows: tuple) -> Variable:
-    """The Plücker variable of a tuple of int rows, unchecked: for diagrams
-    the box calculus built, and for naming rows that were built by hand."""
-    return (_PLUCKER_KIND, rows)
 
 
 def is_quantum(var: Variable) -> bool:

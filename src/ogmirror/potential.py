@@ -36,14 +36,7 @@ from .diagrams import (
     staircase,
     staircase_prefix,
 )
-from .polynomials import (
-    QUANTUM,
-    Polynomial,
-    _plucker,
-    is_plucker,
-    plucker_var,
-    variable_name,
-)
+from .polynomials import QUANTUM, Polynomial, is_plucker, plucker_var, variable_name
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class SuperpotentialTerm:
 def check_plucker(n: int, rows) -> None:
     """Reject Plücker indices that are not full-length valid rank-n diagrams."""
     if len(rows) != n or not is_valid(n, rows):
-        name = variable_name(_plucker(rows))
+        name = "p[" + ",".join(map(str, rows)) + "]"
         raise ValueError(f"{name} is not a diagram of rank {n}")
 
 
@@ -121,13 +114,9 @@ def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]
 
 
 def signed_pair_sum(levels) -> Polynomial:
-    """Alternating sum over levels of the products p_first * p_second.
-
-    The levels are the pair recursion's, whose diagrams are int row tuples,
-    so their variables are made without plucker_var's check of the rows.
-    """
+    """Alternating sum over levels of the products p_first * p_second."""
     return Polynomial(
-        (-1 if j % 2 else 1, Counter((_plucker(first), _plucker(second))))
+        (-1 if j % 2 else 1, Counter((plucker_var(first), plucker_var(second))))
         for j, level in enumerate(levels)
         for first, second in level
     )

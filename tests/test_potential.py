@@ -112,6 +112,17 @@ def test_signed_pair_sum_combines_like_terms():
     assert signed_pair_sum(((square,),)) == p(1, 1, 0, 0) ** 2
 
 
+def test_signed_pair_sum_makes_its_variables_from_int_rows():
+    """Caller-built levels go through plucker_var: list rows name the tuple
+    variable, and a float row raises instead of spelling a second one."""
+    lists = (([1, 0, 0, 0], [1, 2, 2, 2]),)
+    tuples = (((1, 0, 0, 0), (1, 2, 2, 2)),)
+    assert signed_pair_sum((lists,)) == signed_pair_sum((tuples,))
+    floats = (((1.0, 0, 0, 0), (1, 2, 2, 2)),)
+    with pytest.raises(ValueError, match=r"^Plücker rows must be ints, got \(1\.0, 0, 0, 0\)$"):
+        signed_pair_sum((floats,))
+
+
 def test_box_derivation_on_middle_denominator():
     phi = p(1, 2, 0, 0) * p(1, 2, 3, 3) - p(1, 1, 0, 0) * p(1, 2, 3, 4)
     expected = p(1, 2, 1, 0) * p(1, 2, 3, 3) - p(1, 1, 1, 0) * p(1, 2, 3, 4)
