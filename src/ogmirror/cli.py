@@ -69,19 +69,20 @@ def diagrams(n, fmt):
 )
 def potential(n, fmt):
     """Print the n+2 superpotential terms in index order."""
-    from .potential import potential_to_json, potential_to_latex, superpotential
+    from .potential import (
+        potential_to_json,
+        potential_to_latex,
+        potential_to_text,
+        superpotential,
+    )
 
     terms = superpotential(n)
     if fmt == "json":
-        click.echo(json.dumps(potential_to_json(terms), indent=2))
+        click.echo(potential_to_json(terms))
     elif fmt == "latex":
         click.echo(potential_to_latex(terms))
     else:
-        for term in terms:
-            click.echo(
-                f"W[{term.index}] = ({term.numerator.to_text()})"
-                f" / ({term.denominator.to_text()})"
-            )
+        click.echo(potential_to_text(terms))
 
 
 @main.command()

@@ -334,22 +334,26 @@ def format_diagram(rows) -> str:
 def parse_diagram(n: int, text: str) -> Diagram:
     """Parse "1,2,1", "0,0,0" or "empty" into a canonical diagram.
 
-    Truncated vectors are zero-padded to length n.  Unparseable text and
-    syntactically fine but invalid diagrams raise ValueError with distinct
-    messages.
+    Truncated vectors are zero-padded to length n.  A row length is a run
+    of ASCII digits, with whitespace allowed around it; signs, underscores
+    and other digits are unparseable.  Unparseable text and syntactically
+    fine but invalid diagrams raise ValueError with distinct messages.
     """
     check_rank(n)
     text = text.strip()
     if text == "empty":
         return empty_diagram(n)
+    parts = [part.strip() for part in text.split(",")]
     try:
-        rows = tuple(int(part) for part in text.split(","))
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError("a row length is not a run of ASCII digits")
+        rows = tuple(map(int, parts))  # refuses runs past the int digit limit
     except ValueError:
         raise ValueError(
             f"cannot parse diagram {text!r}: expected comma-separated row"
             f" lengths or 'empty'"
         ) from None
-    if len(rows) > n or any(c < 0 for c in rows):
+    if len(rows) > n:
         raise ValueError(f"cannot parse diagram {text!r} for rank {n}")
     if not is_valid(n, rows):
         raise ValueError(

@@ -26,7 +26,7 @@ raises TypeError (or decides == by identity).
 """
 
 import json
-from functools import wraps
+from functools import cache, wraps
 from operator import index
 from typing import Callable, Iterable
 
@@ -271,18 +271,16 @@ class Polynomial:
         return total
 
     def _render(self, namer, times: str, power: str, minus: str) -> str:
-        """Terms in canonical order, signs between them, each variable named once.
+        """Terms in canonical order, signs between them, each variable
+        named by ``namer``.
 
         ``times`` joins the coefficient and the factors, ``power`` formats a
         name and an exponent above 1, and ``minus`` is the minus sign.
         """
-        terms = self.sorted_terms()
-        used = {var for mono, _ in terms for var, _ in mono}
-        names = {var: namer(var) for var in used}
         chunks = []
-        for mono, coeff in terms:
+        for mono, coeff in self.sorted_terms():
             factors = [
-                names[var] if exp == 1 else power.format(names[var], exp)
+                namer(var) if exp == 1 else power.format(namer(var), exp)
                 for var, exp in mono
             ]
             magnitude = abs(coeff)
@@ -295,22 +293,26 @@ class Polynomial:
             chunks.append(times.join(factors))
         return "".join(chunks) or "0"
 
-    def to_text(self) -> str:
-        """Canonical text form, terms joined by " + " / " − "."""
-        return self._render(variable_name, "*", "{}^{}", "−")
+    def to_text(self, namer: Callable[[Variable], str] | None = None) -> str:
+        """Canonical text form, terms joined by " + " / " − ".
 
-    def to_latex(self) -> str:
-        """LaTeX form, factors joined by spaces."""
-        return self._render(variable_latex, " ", "{}^{{{}}}", "-")
+        The polynomials of one document pass one ``cache(variable_name)`` as
+        ``namer``, so that it names each variable once; alone, a polynomial
+        makes its own.
+        """
+        return self._render(namer or cache(variable_name), "*", "{}^{}", "−")
+
+    def to_latex(self, namer: Callable[[Variable], str] | None = None) -> str:
+        """LaTeX form, factors joined by spaces; ``namer`` is a shared
+        ``cache(variable_latex)``, as in to_text."""
+        return self._render(namer or cache(variable_latex), " ", "{}^{{{}}}", "-")
 
     def to_json_terms(self) -> list[dict]:
         """JSON form: one {coefficient, exponents} record per term."""
-        terms = self.sorted_terms()
-        used = {var for mono, _ in terms for var, _ in mono}
-        names = {var: variable_name(var) for var in used}
+        namer = cache(variable_name)
         return [
-            {"coefficient": coeff, "exponents": {names[var]: exp for var, exp in mono}}
-            for mono, coeff in terms
+            {"coefficient": coeff, "exponents": {namer(var): exp for var, exp in mono}}
+            for mono, coeff in self.sorted_terms()
         ]
 
     def to_json(self) -> str:

@@ -12,14 +12,18 @@ whichever component of each pair accepts it.
 
 The denominator recursion and the numerator promotion each run once per
 (rank, index): both level sets are memoised, so the check battery's pair
-and seed checks and the terms read the same levels.  Each signed sum, and
-each derivation, is built in one Polynomial construction over its
-(coefficient, exponents) pairs.
+and seed checks and the terms read the same levels.  Each signed sum puts
+every pair straight into its canonical monomial; each derivation is built
+in one Polynomial construction over its (coefficient, exponents) pairs.
+
+The text, LaTeX and JSON forms of a whole potential each name a variable
+once, however many terms it occurs in; the JSON text is written directly.
 """
 
+import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .diagrams import (
     DiagramPair,
@@ -36,7 +40,14 @@ from .diagrams import (
     staircase,
     staircase_prefix,
 )
-from .polynomials import QUANTUM, Polynomial, is_plucker, plucker_var, variable_name
+from .polynomials import (
+    QUANTUM,
+    Polynomial,
+    is_plucker,
+    plucker_var,
+    variable_latex,
+    variable_name,
+)
 
 
 @dataclass(frozen=True)
@@ -114,12 +125,27 @@ def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]
 
 
 def signed_pair_sum(levels) -> Polynomial:
-    """Alternating sum over levels of the products p_first * p_second."""
-    return Polynomial(
-        (-1 if j % 2 else 1, Counter((plucker_var(first), plucker_var(second))))
-        for j, level in enumerate(levels)
-        for first, second in level
-    )
+    """Alternating sum over levels of the products p_first * p_second.
+
+    Each pair is written straight as its canonical monomial, the smaller
+    variable first or one variable squared, and its sign is added into one
+    dict; cancelled monomials are dropped once, at the end.
+    """
+    acc: dict = {}
+    get = acc.get
+    for j, level in enumerate(levels):
+        sign = -1 if j % 2 else 1
+        for first, second in level:
+            a = plucker_var(first)
+            b = plucker_var(second)
+            if a < b:
+                mono = ((a, 1), (b, 1))
+            elif b < a:
+                mono = ((b, 1), (a, 1))
+            else:
+                mono = ((a, 2),)
+            acc[mono] = get(mono, 0) + sign
+    return Polynomial.from_terms({mono: coeff for mono, coeff in acc.items() if coeff})
 
 
 def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
@@ -187,29 +213,66 @@ def superpotential(n: int) -> list[SuperpotentialTerm]:
     return [potential_term(n, i) for i in range(n + 2)]
 
 
-def term_to_json(term: SuperpotentialTerm) -> dict:
-    return {
-        "index": term.index,
-        "quantum": term.quantum,
-        "numerator": term.numerator.to_json_terms(),
-        "denominator": term.denominator.to_json_terms(),
-    }
+def potential_to_text(terms) -> str:
+    """One line W[i] = (numerator) / (denominator) per term, in text form."""
+    namer = cache(variable_name)
+    return "\n".join(
+        f"W[{term.index}] = ({term.numerator.to_text(namer)})"
+        f" / ({term.denominator.to_text(namer)})"
+        for term in terms
+    )
 
 
-def potential_to_json(terms) -> list[dict]:
-    return [term_to_json(term) for term in terms]
+def potential_to_json(terms) -> str:
+    """The terms as JSON text indented by two spaces.
+
+    The bytes are those of json.dumps(document, indent=2), where the
+    document holds one {index, quantum, numerator, denominator} record per
+    term and each polynomial is its Polynomial.to_json_terms list.  The text
+    is written directly, with no record built, and the line of each
+    (variable, exponent) factor is made once.
+    """
+
+    @cache
+    def line(factor) -> str:
+        var, exp = factor
+        name = json.encoder.encode_basestring_ascii(variable_name(var))
+        return f"\n          {name}: {exp}"
+
+    def polynomial(poly: Polynomial) -> str:
+        records = []
+        for mono, coeff in poly.sorted_terms():
+            exponents = "{" + ",".join(map(line, mono)) + "\n        }" if mono else "{}"
+            records.append(
+                f'\n      {{\n        "coefficient": {coeff},'
+                f'\n        "exponents": {exponents}\n      }}'
+            )
+        return "[" + ",".join(records) + "\n    ]" if records else "[]"
+
+    records = [
+        f'\n  {{\n    "index": {term.index},'
+        f'\n    "quantum": {json.dumps(term.quantum)},'
+        f'\n    "numerator": {polynomial(term.numerator)},'
+        f'\n    "denominator": {polynomial(term.denominator)}\n  }}'
+        for term in terms
+    ]
+    return "[" + ",".join(records) + "\n]" if records else "[]"
 
 
-def term_to_latex(term: SuperpotentialTerm) -> str:
+def term_to_latex(term: SuperpotentialTerm, namer) -> str:
     """Render one term as a LaTeX fraction, factoring q out of the quantum term."""
     numerator = term.numerator
     if term.quantum:
         numerator = numerator.substitute(
             lambda var: Polynomial.one() if var == QUANTUM else Polynomial.variable(var)
         )
-    frac = rf"\frac{{{numerator.to_latex()}}}{{{term.denominator.to_latex()}}}"
+    frac = (
+        rf"\frac{{{numerator.to_latex(namer)}}}"
+        rf"{{{term.denominator.to_latex(namer)}}}"
+    )
     return rf"q\,{frac}" if term.quantum else frac
 
 
 def potential_to_latex(terms) -> str:
-    return " + ".join(term_to_latex(term) for term in terms)
+    namer = cache(variable_latex)
+    return " + ".join(term_to_latex(term, namer) for term in terms)

@@ -137,6 +137,16 @@ def test_restrict_unparseable_diagram(runner):
     assert "cannot parse" in result.output + result.stderr
 
 
+@pytest.mark.parametrize("text", ["0_1", "+1", "-0", "\u0661"])
+def test_restrict_refuses_row_lengths_int_would_accept(runner, text):
+    """A sign, an underscore or a non-ASCII digit is not a row length, though
+    int() reads each."""
+    result = runner.invoke(main, ["restrict", "--n", "3", "--diagram", text])
+    assert result.exit_code == 2
+    assert "cannot parse" in result.stderr
+    assert result.stdout == ""
+
+
 def test_verify_single_rank(runner):
     result = runner.invoke(main, ["verify", "--n", "4"])
     assert result.exit_code == 0

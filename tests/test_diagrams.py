@@ -376,6 +376,20 @@ def test_parse_diagram_accepts_truncated_and_empty():
     assert parse_diagram(4, "1,2,3,4") == (1, 2, 3, 4)
 
 
+def test_parse_diagram_allows_whitespace_around_parts():
+    assert parse_diagram(4, " 1 ,\t1 , 0") == (1, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "text", ["0_1", "+1", "-0", "\u0661", "\u00b2", "1,+1", "1,1_0", "-1", "1,,1", "1 1"]
+)
+def test_parse_diagram_accepts_only_ascii_digit_runs(text):
+    """int() accepts signs, underscores and non-ASCII digits; a row length
+    does not."""
+    with pytest.raises(ValueError, match="^cannot parse diagram"):
+        parse_diagram(3, text)
+
+
 def test_parse_diagram_error_messages_are_distinct():
     with pytest.raises(ValueError, match="cannot parse"):
         parse_diagram(4, "1,x")

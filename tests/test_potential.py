@@ -1,4 +1,6 @@
+import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -10,13 +12,15 @@ from ogmirror.diagrams import (
     full_columns,
     staircase_prefix,
 )
-from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var, torus_var
+from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var, torus_var, variable_name
 from ogmirror.potential import (
+    SuperpotentialTerm,
     box_derivation,
     denominator_pair_levels,
     numerator_pair_levels,
     plucker_poly,
     potential_term,
+    potential_to_json,
     signed_pair_sum,
     superpotential,
 )
@@ -121,6 +125,35 @@ def test_signed_pair_sum_makes_its_variables_from_int_rows():
     floats = (((1.0, 0, 0, 0), (1, 2, 2, 2)),)
     with pytest.raises(ValueError, match=r"^Plücker rows must be ints, got \(1\.0, 0, 0, 0\)$"):
         signed_pair_sum((floats,))
+
+
+def exponent_counter_pair_sum(levels):
+    """The reference signed_pair_sum: one exponent Counter per pair, each
+    made canonical by the Polynomial constructor."""
+    return Polynomial(
+        (-1 if j % 2 else 1, Counter((plucker_var(first), plucker_var(second))))
+        for j, level in enumerate(levels)
+        for first, second in level
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_signed_pair_sum_matches_exponent_counters(n):
+    for i in range(2, n):
+        for levels in (denominator_pair_levels(n, i), numerator_pair_levels(n, i)):
+            assert signed_pair_sum(levels) == exponent_counter_pair_sum(levels)
+
+
+def test_signed_pair_sum_matches_exponent_counters_on_cancellation_and_squares():
+    low, high, other = (0, 0, 0, 0), (1, 2, 3, 4), (1, 1, 0, 0)
+    levels = (
+        ((low, high), (other, other), (high, other)),
+        ((high, low), (other, low)),  # the first pair again, written the other way
+        ((other, other), [list(low), list(other)]),
+    )
+    total = signed_pair_sum(levels)
+    assert total == exponent_counter_pair_sum(levels)
+    assert total == 2 * p(*other) ** 2 + p(*high) * p(*other)
 
 
 def test_box_derivation_on_middle_denominator():
@@ -264,3 +297,51 @@ def test_vanished_derivation_stays_zero_along_moves(n):
             if vanishes(pair):
                 assert all(vanishes(child) for child in children)
             stack.extend(children)
+
+
+def json_document(terms):
+    """The potential's JSON document, built from sorted_terms and variable_name."""
+
+    def records(poly):
+        return [
+            {"coefficient": coeff, "exponents": {variable_name(var): exp for var, exp in mono}}
+            for mono, coeff in poly.sorted_terms()
+        ]
+
+    return [
+        {
+            "index": term.index,
+            "quantum": term.quantum,
+            "numerator": records(term.numerator),
+            "denominator": records(term.denominator),
+        }
+        for term in terms
+    ]
+
+
+def assert_json_writes_its_document(terms):
+    text = potential_to_json(terms)
+    document = json_document(terms)
+    assert text == json.dumps(document, indent=2)
+    assert json.loads(text) == document
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_potential_json_is_the_indented_dump_of_its_document(n):
+    assert_json_writes_its_document(superpotential(n))
+
+
+def test_potential_json_writes_edge_terms():
+    a, b = plucker_var((1, 0, 0)), plucker_var((1, 2, 1))
+    terms = [
+        SuperpotentialTerm(0, Polynomial.zero(), Polynomial.one()),
+        SuperpotentialTerm(
+            1, Polynomial.term(-3, {a: 1, b: 2}), Polynomial.constant(10**30) - p(1, 1, 0)
+        ),
+        SuperpotentialTerm(2, Polynomial.term(7, {b: 2}), Polynomial.constant(-1)),
+        potential_term(3, 4),
+    ]
+    assert_json_writes_its_document([])
+    for term in terms:
+        assert_json_writes_its_document([term])
+    assert_json_writes_its_document(terms)
