@@ -21,7 +21,8 @@ and nothing else.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .diagrams import (
     _addable_cells,
@@ -46,13 +47,22 @@ from .torus import _has_term_identity, restriction_residuals
 DETAIL_TERMS = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     n: int
     index: int | None
     passed: bool
     detail: str = ""
+
+
+# perfbench/selftest.py fakes a failed check with dataclasses.replace, from
+# when this record was a dataclass.  That function reads only the name, init
+# flag and field type of each entry here, and builds the copy by keyword;
+# no other dataclasses function works on the record.
+CheckResult.__dataclass_fields__ = {
+    name: SimpleNamespace(name=name, init=True, _field_type=None)
+    for name in CheckResult._fields
+}
 
 
 def all_passed(results) -> bool:

@@ -2,19 +2,24 @@
 
 Subcommands: diagrams, potential, restrict, verify, hasse.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success (all checks pass),
-1 verification failure, 2 usage or parse error, or out of memory.  All
-output is deterministic: identical invocations produce byte-identical bytes.
+1 verification failure, a reader that closed stdout early or Ctrl-C,
+2 usage or parse error, or out of memory.  All output is deterministic:
+identical invocations produce byte-identical bytes.
 
-Each command imports the layers it uses when it runs, so `hasse` and
-`diagrams` load only the box calculus.  `run_checks` and `restrict_plucker`
-stay attributes of this module, loading their layer on the first call, so a
-caller can still replace them here.
+The front end uses the standard library alone.  `main(args, prog_name)`
+parses one command line with argparse and runs one command; `main.commands`
+maps each command name to a Command, whose `callback` is read when the
+command runs, so a caller may replace it.  Each command imports the layers
+it uses when it runs, so `hasse` and `diagrams` load only the box calculus.
+`run_checks` and `restrict_plucker` stay attributes of this module, loading
+their layer on the first call, so a caller can still replace them here.
 """
 
+import argparse
 import json
+import os
 import sys
-
-import click
+from functools import cache
 
 from .diagrams import all_diagrams, format_diagram, hasse_dot, parse_diagram
 
@@ -33,40 +38,19 @@ def restrict_plucker(n, rows):
     return restrict_plucker(n, rows)
 
 
-def _validate_rank(ctx, param, value):
-    if value is not None and value < 2:
-        raise click.BadParameter("rank must be at least 2")
-    return value
+class UsageError(Exception):
+    """A command line that parses but cannot run: exit 2 with the usage."""
 
 
-_rank_option = click.option(
-    "--n", "n", type=int, required=True, callback=_validate_rank,
-    help="Rank parameter (at least 2).",
-)
-
-
-@click.group()
-def main():
-    """Canonical mirror superpotentials for maximal orthogonal Grassmannians."""
-
-
-@main.command()
-@_rank_option
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def diagrams(n, fmt):
     """List all valid diagrams for the rank, in lexicographic order."""
     rows_list = all_diagrams(n)
     if fmt == "json":
-        click.echo(json.dumps(rows_list))
+        print(json.dumps(rows_list))
     else:
-        click.echo("\n".join(map(format_diagram, rows_list)))
+        print("\n".join(map(format_diagram, rows_list)))
 
 
-@main.command()
-@_rank_option
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text"
-)
 def potential(n, fmt):
     """Print the n+2 superpotential terms in index order."""
     from .potential import (
@@ -78,56 +62,45 @@ def potential(n, fmt):
 
     terms = superpotential(n)
     if fmt == "json":
-        click.echo(potential_to_json(terms))
+        print(potential_to_json(terms))
     elif fmt == "latex":
-        click.echo(potential_to_latex(terms))
+        print(potential_to_latex(terms))
     else:
-        click.echo(potential_to_text(terms))
+        print(potential_to_text(terms))
 
 
-@main.command()
-@_rank_option
-@click.option("--diagram", "diagram_text", required=True, help="Row lengths, e.g. 1,2,1.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "latex"]), default="text"
-)
 def restrict(n, diagram_text, fmt):
     """Restrict one Plücker variable to the torus chart."""
     try:
         rows = parse_diagram(n, diagram_text)
     except ValueError as err:
-        raise click.BadParameter(str(err), param_hint="'--diagram'") from None
+        raise UsageError(f"argument --diagram: {err}") from None
     restricted = restrict_plucker(n, rows)
     if fmt == "json":
-        click.echo(restricted.to_json())
+        print(restricted.to_json())
     elif fmt == "latex":
-        click.echo(restricted.to_latex())
+        print(restricted.to_latex())
     else:
-        click.echo(restricted.to_text())
+        print(restricted.to_text())
 
 
-@main.command()
-@click.option("--n", "n", type=int, callback=_validate_rank)
-@click.option("--from", "start", type=int, callback=_validate_rank)
-@click.option("--to", "stop", type=int, callback=_validate_rank)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify(n, start, stop, fmt):
     """Run the full check battery for one rank or a range of ranks."""
     from .checks import all_passed
 
     if n is not None and (start is not None or stop is not None):
-        raise click.UsageError("use either --n or --from/--to, not both")
+        raise UsageError("use either --n or --from/--to, not both")
     if n is not None:
         ranks = [n]
     elif start is not None and stop is not None:
         if stop < start:
-            raise click.UsageError("--to must be at least --from")
+            raise UsageError("--to must be at least --from")
         ranks = list(range(start, stop + 1))
     else:
-        raise click.UsageError("provide --n or both --from and --to")
+        raise UsageError("provide --n or both --from and --to")
 
-    reports = [(rank, run_checks(rank)) for rank in ranks]
     if fmt == "json":
+        reports = [(rank, run_checks(rank)) for rank in ranks]
         document = [
             {
                 "n": rank,
@@ -144,52 +117,162 @@ def verify(n, start, stop, fmt):
             }
             for rank, results in reports
         ]
-        click.echo(json.dumps(document, indent=2))
+        print(json.dumps(document, indent=2))
+        failed = not all(all_passed(results) for _, results in reports)
     else:
-        for rank, results in reports:
-            for result in results:
-                index = "-" if result.index is None else result.index
-                status = "PASS" if result.passed else "FAIL"
-                click.echo(f"CHECK {result.name} n={result.n} i={index} {status}")
-                if not result.passed and result.detail:
-                    click.echo(f"  {result.detail}", err=True)
-            failed = sum(1 for result in results if not result.passed)
-            if failed:
-                click.echo(f"FAILED {failed} checks")
-            else:
-                click.echo(f"VERIFIED n={rank}")
-    if any(not all_passed(results) for _, results in reports):
+        failed = False
+        for rank in ranks:
+            failed |= not _print_report(rank, run_checks(rank))
+    if failed:
         sys.exit(1)
 
 
-@main.command()
-@_rank_option
-@click.option("--format", "fmt", type=click.Choice(["dot"]), default="dot")
+def _print_report(rank, results):
+    """Print and flush one rank's check lines; True when every check passed."""
+    failed = 0
+    for result in results:
+        index = "-" if result.index is None else result.index
+        status = "PASS" if result.passed else "FAIL"
+        print(f"CHECK {result.name} n={result.n} i={index} {status}")
+        if not result.passed:
+            failed += 1
+            if result.detail:
+                sys.stdout.flush()  # the detail follows its line where both streams meet
+                print(f"  {result.detail}", file=sys.stderr)
+    print(f"FAILED {failed} checks" if failed else f"VERIFIED n={rank}")
+    sys.stdout.flush()
+    return not failed
+
+
 def hasse(n, fmt):
     """Emit the diagram poset as a DOT graph, edges labeled by added boxes."""
+    write = sys.stdout.write
     for chunk in hasse_dot(n):
-        click.echo(chunk, nl=False)
+        write(chunk)
 
 
-def _exit_2_when_out_of_memory(command):
-    """Turn a MemoryError in the command into one stderr line and exit 2."""
-    callback = command.callback
+class Command:
+    """One subcommand: its name and the function that runs it."""
 
-    def guarded(**params):
-        try:
-            return callback(**params)
-        except MemoryError:
-            pass  # report once the handler has let go of the frames holding memory
-        n, start, stop = (params.get(key) for key in ("n", "start", "stop"))
-        ranks = f"rank {n}" if n is not None else f"ranks {start} to {stop}"
-        click.echo(f"Error: {command.name} ran out of memory at {ranks}", err=True)
-        sys.exit(2)
+    __slots__ = ("name", "callback")
 
-    command.callback = guarded
+    def __init__(self, name, callback):
+        self.name = name
+        self.callback = callback
 
 
-for _command in main.commands.values():
-    _exit_2_when_out_of_memory(_command)
+def _rank(text):
+    """An --n, --from or --to value: an integer of at least 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError("rank must be at least 2")
+    return value
+
+
+_COMMANDS = (diagrams, potential, restrict, verify, hasse)
+_FORMATS = {
+    "diagrams": ("text", "json"),
+    "potential": ("text", "json", "latex"),
+    "restrict": ("text", "json", "latex"),
+    "verify": ("text", "json"),
+    "hasse": ("dot",),
+}
+
+
+@cache
+def _parsers(prog):
+    """The command-line parser and each command's own parser, built once.
+
+    Long options are never abbreviated; a repeated option keeps its last
+    value.
+    """
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Canonical mirror superpotentials for maximal orthogonal Grassmannians.",
+        allow_abbrev=False,
+    )
+    subparsers = parser.add_subparsers(
+        title="commands", dest="command", metavar="COMMAND", required=True
+    )
+    parsers = {
+        callback.__name__: subparsers.add_parser(
+            callback.__name__,
+            help=callback.__doc__,
+            description=callback.__doc__,
+            allow_abbrev=False,
+        )
+        for callback in _COMMANDS
+    }
+    rank = {"type": _rank, "metavar": "N"}
+    for name in ("diagrams", "potential", "restrict", "hasse"):
+        parsers[name].add_argument(
+            "--n", required=True, help="Rank parameter (at least 2).", **rank
+        )
+    parsers["restrict"].add_argument(
+        "--diagram", dest="diagram_text", required=True, metavar="ROWS",
+        help="Row lengths, e.g. 1,2,1.",
+    )
+    parsers["verify"].add_argument("--n", help="One rank.", **rank)
+    parsers["verify"].add_argument("--from", dest="start", help="First rank.", **rank)
+    parsers["verify"].add_argument("--to", dest="stop", help="Last rank.", **rank)
+    for name, formats in _FORMATS.items():
+        parsers[name].add_argument(
+            "--format", dest="fmt", choices=formats, default=formats[0]
+        )
+    return parser, parsers
+
+
+def main(args=None, prog_name=None):
+    """Run one command line, sys.argv[1:] by default.
+
+    Returns when the command succeeds; any other outcome raises SystemExit
+    with its exit code.  A usage error prints the usage and the error to
+    stderr.
+    """
+    parser, parsers = _parsers(prog_name or "ogmirror")
+    try:
+        namespace, unknown = parser.parse_known_args(args)
+        params = vars(namespace)
+        command = main.commands[params.pop("command")]
+        command_parser = parsers[command.name]
+        if unknown:  # name them under the command's usage, not the top level's
+            command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        _run(command, params, command_parser)
+    except BrokenPipeError:
+        # The reader closed stdout early (`hasse --n 14 | head -1`): exit 1
+        # without a traceback, and let the interpreter's last flush of
+        # what stdout still buffers go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+
+
+def _run(command, params, parser):
+    """Call the command's current callback; out of memory is one line and exit 2."""
+    try:
+        command.callback(**params)
+    except MemoryError:
+        pass  # report once the handler has let go of the frames holding memory
+    except UsageError as err:
+        parser.error(str(err))
+    else:
+        return
+    finally:
+        sys.stdout.flush()
+    n, start, stop = (params.get(key) for key in ("n", "start", "stop"))
+    ranks = f"rank {n}" if n is not None else f"ranks {start} to {stop}"
+    print(f"Error: {command.name} ran out of memory at {ranks}", file=sys.stderr)
+    sys.exit(2)
+
+
+main.commands = {
+    callback.__name__: Command(callback.__name__, callback) for callback in _COMMANDS
+}
 
 
 if __name__ == "__main__":

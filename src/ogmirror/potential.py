@@ -22,8 +22,8 @@ once, however many terms it occurs in; the JSON text is written directly.
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 from .diagrams import (
     DiagramPair,
@@ -50,8 +50,7 @@ from .polynomials import (
 )
 
 
-@dataclass(frozen=True)
-class SuperpotentialTerm:
+class SuperpotentialTerm(NamedTuple):
     index: int
     numerator: Polynomial
     denominator: Polynomial

@@ -9,9 +9,9 @@ clock budgets.  Each test prints one pass/fail line.
 import json
 import time
 
-from click.testing import CliRunner
 
 from _bruteforce import enumerate_restrictions
+from _runner import CommandRunner
 from ogmirror.cli import main
 from ogmirror.diagrams import (
     add_unique_box,
@@ -103,7 +103,7 @@ GOLDEN_POTENTIAL_N4 = [
 
 def test_criterion_1_golden_potential_n4():
     started = time.perf_counter()
-    result = CliRunner().invoke(main, ["potential", "--n", "4", "--format", "json"])
+    result = CommandRunner().invoke(main, ["potential", "--n", "4", "--format", "json"])
     elapsed = time.perf_counter() - started
     ok = (
         result.exit_code == 0

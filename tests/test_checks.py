@@ -24,7 +24,6 @@ of what the battery judges is pinned too: a term shifted by a spinor
 quadric, a Plücker relation that vanishes on OG, passes every check.
 """
 
-import dataclasses
 
 import pytest
 
@@ -54,7 +53,7 @@ def flipped_numerator_sign(n):
     terms = superpotential(n)
     term = terms[2]
     numerator = term.numerator - 2 * _leading(term.numerator)
-    terms[2] = dataclasses.replace(term, numerator=numerator)
+    terms[2] = term._replace(numerator=numerator)
     return terms, {("term_restriction", 2), ("laurent_assembly", None)}
 
 
@@ -62,7 +61,7 @@ def dropped_denominator_pair(n):
     terms = superpotential(n)
     term = terms[2]
     denominator = term.denominator - _leading(term.denominator)
-    terms[2] = dataclasses.replace(term, denominator=denominator)
+    terms[2] = term._replace(denominator=denominator)
     return terms, {
         ("denominator_restriction", 2),
         ("term_restriction", 2),
@@ -73,10 +72,10 @@ def dropped_denominator_pair(n):
 def quantum_on_wrong_term(n):
     terms = superpotential(n)
     q = Polynomial.variable(QUANTUM)
-    terms[0] = dataclasses.replace(terms[0], numerator=q * terms[0].numerator)
+    terms[0] = terms[0]._replace(numerator=q * terms[0].numerator)
     ((mono, coeff),) = terms[n + 1].numerator.sorted_terms()
     unquantized = Polynomial.term(coeff, {var: exp for var, exp in mono if var != QUANTUM})
-    terms[n + 1] = dataclasses.replace(terms[n + 1], numerator=unquantized)
+    terms[n + 1] = terms[n + 1]._replace(numerator=unquantized)
     return terms, {("term_restriction", 0), ("laurent_assembly", None)}
 
 
@@ -87,7 +86,7 @@ def flipped_level_sign(n):
     levels = denominator_pair_levels(n, i)
     level_1 = signed_pair_sum(levels[:2]) - signed_pair_sum(levels[:1])
     term = terms[i]
-    terms[i] = dataclasses.replace(term, denominator=term.denominator - 2 * level_1)
+    terms[i] = term._replace(denominator=term.denominator - 2 * level_1)
     return terms, {
         ("denominator_restriction", i),
         ("term_restriction", i),
@@ -100,14 +99,14 @@ def wrong_derivation_label(n):
     terms = superpotential(n)
     term = terms[2]
     numerator = box_derivation(n, 3, term.denominator)
-    terms[2] = dataclasses.replace(term, numerator=numerator)
+    terms[2] = term._replace(numerator=numerator)
     return terms, {("term_restriction", 2), ("laurent_assembly", None)}
 
 
 def zero_denominator(n):
     """Term 2's denominator replaced by zero: no restricted quotient exists."""
     terms = superpotential(n)
-    terms[2] = dataclasses.replace(terms[2], denominator=Polynomial.zero())
+    terms[2] = terms[2]._replace(denominator=Polynomial.zero())
     return terms, {
         ("denominator_restriction", 2),
         ("term_restriction", 2),
@@ -128,7 +127,7 @@ CONTROLS = (
 def non_homogeneous_denominator(n):
     """Term 2's denominator plus 1, of Plücker degrees 0 and 2."""
     terms = superpotential(n)
-    terms[2] = dataclasses.replace(terms[2], denominator=terms[2].denominator + 1)
+    terms[2] = terms[2]._replace(denominator=terms[2].denominator + 1)
     return terms, {
         ("degree_sum", None),
         ("denominator_restriction", 2),
@@ -143,8 +142,8 @@ def quantum_in_denominator(n):
     terms = superpotential(n)
     q = Polynomial.variable(QUANTUM)
     term = terms[2]
-    terms[2] = dataclasses.replace(
-        term, numerator=q * term.numerator, denominator=q * term.denominator
+    terms[2] = term._replace(
+        numerator=q * term.numerator, denominator=q * term.denominator
     )
     return terms, {("derivation_identity", 2), ("denominator_restriction", 2)}
 
@@ -157,7 +156,7 @@ def invalid_plucker_variable(n):
     the derivation differs, and nothing can be restricted."""
     terms = superpotential(n)
     bad = Polynomial.variable(plucker_var((2,) + (0,) * (n - 1)))
-    terms[0] = dataclasses.replace(terms[0], numerator=bad)
+    terms[0] = terms[0]._replace(numerator=bad)
     restriction = {("denominator_restriction", i) for i in range(n + 2)}
     restriction |= {("term_restriction", i) for i in range(n + 1)}
     restriction.add(("laurent_assembly", None))
@@ -170,7 +169,7 @@ def trimmed_plucker_spelling(n):
     terms = superpotential(n)
     (var,) = terms[n].denominator.variables()
     short = Polynomial.variable(plucker_var(var[1][:-1]))
-    terms[n] = dataclasses.replace(terms[n], denominator=short)
+    terms[n] = terms[n]._replace(denominator=short)
     restriction = {("denominator_restriction", i) for i in range(n + 2)}
     restriction |= {("term_restriction", i) for i in range(n + 1)}
     restriction.add(("laurent_assembly", None))
@@ -184,7 +183,7 @@ def float_rows(n):
     (kind, rows) tuple, which keeps the guards downstream of it pinned."""
     terms = superpotential(n)
     floats = Polynomial.variable((_PLUCKER_KIND, (1.0,) * n))
-    terms[1] = dataclasses.replace(terms[1], denominator=floats)
+    terms[1] = terms[1]._replace(denominator=floats)
     restriction = {("denominator_restriction", i) for i in range(n + 2)}
     restriction |= {("term_restriction", i) for i in range(n + 1)}
     restriction.add(("laurent_assembly", None))
@@ -197,7 +196,7 @@ def overflowing_power(n):
     terms = superpotential(n)
     term = terms[1]
     numerator = term.numerator * term.denominator**300
-    terms[1] = dataclasses.replace(term, numerator=numerator)
+    terms[1] = term._replace(numerator=numerator)
     restriction = {("denominator_restriction", i) for i in range(n + 2)}
     restriction |= {("term_restriction", i) for i in range(n + 1)}
     restriction.add(("laurent_assembly", None))
@@ -267,8 +266,8 @@ def single_monomial_mutants(n):
                     else:
                         mutant_terms[mono] = mutated
                     mutant = list(terms)
-                    mutant[k] = dataclasses.replace(
-                        term, **{part: Polynomial.from_terms(mutant_terms)}
+                    mutant[k] = term._replace(
+                        **{part: Polynomial.from_terms(mutant_terms)}
                     )
                     yield mutant
 
@@ -306,8 +305,8 @@ def test_a_relation_shifted_potential_passes_the_battery_checks():
     assert derived.term_count() == 4
     terms = superpotential(n)
     term = terms[2]
-    terms[2] = dataclasses.replace(
-        term, numerator=term.numerator + derived, denominator=term.denominator + q
+    terms[2] = term._replace(
+        numerator=term.numerator + derived, denominator=term.denominator + q
     )
     assert terms[2].denominator != term.denominator
     assert checks._derivation_identity(n, terms[2]).passed
@@ -528,8 +527,7 @@ def test_failure_detail_is_bounded():
     big = max(all_diagrams(n), key=lambda rows: restrict_plucker(n, rows).term_count())
     extra = Polynomial.variable(plucker_var(big))
     terms = superpotential(n)
-    terms[2] = dataclasses.replace(
-        terms[2],
+    terms[2] = terms[2]._replace(
         numerator=terms[2].numerator + extra,
         denominator=terms[2].denominator + extra,
     )

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from _bruteforce import subsequence_count
-from ogmirror import diagrams
+from _runner import CommandRunner
+import ogmirror
+from ogmirror import checks, diagrams
 from ogmirror.cli import main
 from ogmirror.diagrams import all_diagrams, format_diagram, hasse_dot, hasse_edges
 from ogmirror.torus import restrict_plucker
@@ -20,7 +24,7 @@ from test_checks import (
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return CommandRunner()
 
 
 def test_diagrams_text_n3(runner):
@@ -388,3 +392,97 @@ def test_output_is_deterministic(runner, args):
     second = runner.invoke(main, args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["verify", "--form", "json", "--n", "2"],
+        ["verify", "--fro", "2", "--to", "3"],
+        ["restrict", "--n", "3", "--diagram", "-1,2"],
+        ["diagrams", "--n", "x"],
+        [],
+    ),
+)
+def test_usage_errors_exit_2_with_the_usage_on_stderr(runner, args):
+    """Long options are never abbreviated, and no usage error writes stdout."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: ogmirror")
+
+
+def test_an_option_value_may_follow_an_equals_sign(runner):
+    result = runner.invoke(main, ["restrict", "--n", "4", "--diagram=1,1"])
+    assert result.exit_code == 0
+    assert result.output == restrict_plucker(4, (1, 1, 0, 0)).to_text() + "\n"
+
+
+def test_a_repeated_option_keeps_its_last_value(runner):
+    result = runner.invoke(main, ["diagrams", "--n", "2", "--n", "3"])
+    assert result.exit_code == 0
+    assert result.output == runner.invoke(main, ["diagrams", "--n", "3"]).output
+
+
+def test_help_names_every_command_and_option(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert all(name in result.stdout for name in main.commands)
+    result = runner.invoke(main, ["verify", "--help"])
+    assert result.exit_code == 0
+    assert all(f"{option} " in result.stdout for option in ("--n", "--from", "--to", "--format"))
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ogmirror.__file__)))
+    command = [sys.executable, "-m", "ogmirror", "hasse", "--n", "11"]  # 450 kB of DOT
+    with subprocess.Popen(
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline() == b"digraph hasse {\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
+def test_an_interrupt_prints_aborted_and_exits_1(runner, monkeypatch):
+    def interrupted(**params):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(main.commands["diagrams"], "callback", interrupted)
+    result = runner.invoke(main, ["diagrams", "--n", "3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "\nAborted!\n"
+
+
+def test_dispatch_runs_the_callback_in_place_when_the_command_runs(runner, monkeypatch):
+    assert list(main.commands) == ["diagrams", "potential", "restrict", "verify", "hasse"]
+    assert all(command.name == name for name, command in main.commands.items())
+    calls = []
+    monkeypatch.setattr(
+        main.commands["potential"], "callback", lambda **params: calls.append(params)
+    )
+    result = runner.invoke(main, ["potential", "--n", "5", "--format", "latex"])
+    assert result.exit_code == 0
+    assert result.output == ""
+    assert calls == [{"n": 5, "fmt": "latex"}]
+
+
+def test_verify_prints_each_rank_before_the_next_runs_out_of_memory(runner, monkeypatch):
+    run_checks = checks.run_checks
+
+    def exhausted_from_rank_4(n):
+        if n >= 4:
+            raise MemoryError
+        return run_checks(n)
+
+    monkeypatch.setattr("ogmirror.checks.run_checks", exhausted_from_rank_4)
+    result = runner.invoke(main, ["verify", "--from", "2", "--to", "5"])
+    assert result.exit_code == 2
+    assert [line for line in result.stdout.splitlines() if "CHECK" not in line] == [
+        "VERIFIED n=2",
+        "VERIFIED n=3",
+    ]
+    assert result.stderr == "Error: verify ran out of memory at ranks 2 to 5\n"

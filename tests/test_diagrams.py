@@ -2,8 +2,8 @@ from collections import deque
 from itertools import product
 
 import pytest
-from click.testing import CliRunner
 
+from _runner import CommandRunner
 from ogmirror import checks, diagrams
 from ogmirror.cli import main
 from ogmirror.diagrams import (
@@ -311,7 +311,7 @@ def _relabel(monkeypatch, n, r, c, label):
 
 def _assert_hasse_fails(n):
     """The hasse command raises StructuralError before printing any graph."""
-    result = CliRunner().invoke(main, ["hasse", "--n", str(n)])
+    result = CommandRunner().invoke(main, ["hasse", "--n", str(n)])
     assert isinstance(result.exception, StructuralError)
     assert result.stdout == ""
 

@@ -59,6 +59,20 @@ def test_cli_import_loads_only_the_box_calculus():
     assert loaded.split() == ["ogmirror", "ogmirror.cli", "ogmirror.diagrams"]
 
 
+def test_a_command_runs_on_the_standard_library_alone():
+    # click, and dataclasses with the inspect module it imports, cost more
+    # start-up time than a small verify takes to run
+    printed = _fresh(
+        "import sys, ogmirror.cli\n"
+        "try:\n"
+        "    ogmirror.cli.main(['verify', '--n', '2'], prog_name='ogmirror')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code\n"
+        "print('loaded:', *(m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert printed.splitlines()[-2:] == ["VERIFIED n=2", "loaded:"]
+
+
 def test_a_submodule_loads_on_attribute_access():
     assert _fresh("import ogmirror; print(ogmirror.torus.__name__)") == "ogmirror.torus\n"
 
