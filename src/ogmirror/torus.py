@@ -11,26 +11,8 @@ first t positions, R_0 is 1 on the empty diagram and 0 elsewhere, and
 
 the second summand counting only when that box is removable from D.  Only
 that summand uses a_t, so the two share no monomial: each R_t(D) is a
-disjoint union of coefficient-1 monomials, one per admissible subsequence,
-and the recurrence concatenates key lists without any arithmetic.  One
-dynamic program evaluates this for a set of target diagrams and only those.
-A backward pass over the word finds the live diagrams, those that can still
-grow into a target: it scans each once, when it becomes live, for its
-removable boxes and files it under each label it can lose, so the removals
-at a position are the live diagrams filed under its label, with no test of
-the others.  The forward pass replays those removals, each one read, shifted
-and appended in a single step, and drops each diagram right after the last
-position that reads it, the position where the backward pass made it live.
-One phase per position is enough: a diagram that loses its box of some label
-at cell (r, c) has no removable box of that label left.  The other cells of
-that label are (r - k, c - k) and (r + k, c + k) for k >= 1 (labels n and n+1
-sit on the main diagonal only, every other row).  Those up-left still have a
-box below them, at (r - k + 1, c - k), and those down-right are empty, as
-(r + 1, c) is.  So no list that a position reads is one that it writes.  Both
-passes cost in proportion to the removals and the keys moved, not to
-positions times live diagrams.  restrict_all targets every diagram,
-restrict_plucker one, and restriction_residuals the diagrams its terms and
-laurent_potential read, so a caller pays for the restrictions it reads.
+disjoint union of coefficient-1 monomials, one per admissible subsequence.
+_path_sums evaluates this for a set of target diagrams and only those.
 
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
@@ -46,32 +28,18 @@ product and their maximum for a sum.  A product whose bound would exceed
 255 raises OverflowError instead of carrying one field into the next; one
 function, _product_bound, makes that check for every product.
 
-Restricting a polynomial expands it into one accumulator.  Every path sum
-has coefficient 1 on each of its keys, which _path_sums establishes and the
-expansion relies on, and q restricts to the single key 1.  So a monomial
-c * f_1 * ... * f_k adds c at the sum of every choice of one key per factor,
-with no intermediate polynomial, and the keys that cancel are dropped once
-for the whole polynomial.
-
-The packed polynomial is itself a Polynomial of its rank, and every function
-here returns one: it decodes its fields into tuple monomials on each read
-of that kind, and stores no decoded copy.  A key's little-endian bytes are
-its exponent row in canonical order, so a restriction, squarefree with
-coefficient 1, renders from one sort of those rows and one pass that
-selects every factor's name from the joined rows.  restriction_residuals
-restricts each term's numerator and denominator once and decides every
-identity from those pairs; the restricted quotients add, and compare with
-the Laurent form, as RationalExpression does, by exact cross-multiplication.
+restrict_all and restrict_plucker return path sums.  Every polynomial in
+Plücker variables and q restricts through _restricted, one dynamic program
+per call, and every function here returns a packed polynomial, _Packed.
 """
 
 import json
 from collections import Counter
 from functools import lru_cache, reduce
-from itertools import compress, cycle, product, starmap
+from itertools import compress, cycle, product
 from operator import or_
 
 from .diagrams import (
-    Diagram,
     _label_table,
     _shrunk,
     all_diagrams,
@@ -92,7 +60,7 @@ from .polynomials import (
     torus_var,
     variable_name,
 )
-from .potential import check_plucker, potential_term, superpotential
+from .potential import check_plucker, plucker_poly, potential_term, superpotential
 
 _FIELD_BITS = 8
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
@@ -269,15 +237,24 @@ def _path_sums(n: int, targets) -> dict:
     forward pass keeps each live diagram's packed keys and, per removal in
     one loop, appends to a diagram the smaller one's keys shifted by t's
     field; then it drops the diagrams made live at t, as t is the last
-    position that reads them.  Nothing is staged: a diagram that loses t's
-    label cannot lose it again (see the module docstring), so no diagram
-    written at t is read at t as a smaller one.  The two summands are
-    disjoint and every coefficient is 1, so the lists are concatenated,
-    never merged, and each target's list becomes a packed polynomial once,
-    at the end, with coefficient 1 on every key: _restrict relies on that
-    to expand products without multiplying coefficients.  Every coordinate
-    sits at one word position, so two subsequences never give one key: a
-    repeated key can only be a fault of the program and raises RuntimeError.
+    position that reads them.  Both passes cost in proportion to the
+    removals and the keys moved, not to positions times live diagrams.
+
+    Nothing is staged: a diagram that loses t's label at cell (r, c) has no
+    removable box of that label left, so no diagram written at t is read at
+    t as a smaller one.  The other cells of that label are (r - k, c - k)
+    and (r + k, c + k) for k >= 1 (labels n and n+1 sit on the main
+    diagonal only, every other row).  Those up-left still have a box below
+    them, at (r - k + 1, c - k), and those down-right are empty, as
+    (r + 1, c) is.
+
+    The two summands are disjoint and every coefficient is 1, so the lists
+    are concatenated, never merged, and each target's list becomes a packed
+    polynomial once, at the end, with coefficient 1 on every key: _restricted
+    relies on that to expand products without multiplying coefficients.
+    Every coordinate sits at one word position, so two subsequences never
+    give one key: a repeated key can only be a fault of the program and
+    raises RuntimeError.
     """
     word = reduced_word(n)
     filed: dict = {label: [] for label, _ in word}
@@ -334,49 +311,46 @@ def restrict_plucker(n: int, rows) -> Polynomial:
     return _path_sums(n, (rows,))[rows]
 
 
-def _restriction_table(n: int, polys, *extra: Diagram) -> dict:
-    """Path sums of the Plücker diagrams the polynomials read, plus extra ones.
+def _restricted(n: int, polys) -> list:
+    """Packed restrictions of polynomials in Plücker variables and q, in order.
 
-    A Plücker variable that is not a full-length rank-n diagram raises
-    ValueError, the least such variable named.
+    First every Plücker variable of every polynomial is checked: one that is
+    not a full-length rank-n diagram raises ValueError, the least such
+    variable named.  Then one _path_sums call restricts the diagrams the
+    polynomials read, and each polynomial expands into its own accumulator.
+    Every factor of a monomial c * f_1 * ... * f_k is a path sum, whose
+    coefficients _path_sums makes all 1, or q, the single key 1 with
+    coefficient 1, so each choice of one key per factor adds c at the sum of
+    the keys chosen, with no intermediate polynomial.  Cancelled keys are
+    dropped once per polynomial, and its bound is the largest sum of factor
+    bounds over its monomials.  The monomials are read in canonical order,
+    so a torus variable, or a partial product bound past the packed field
+    maximum, raises at the first monomial that has one.
     """
     targets = {var[1] for poly in polys for var in poly.variables() if is_plucker(var)}
     for rows in sorted(targets):
         check_plucker(n, rows)
-    return _path_sums(n, targets.union(extra))
-
-
-def _restrict(n: int, table: dict, poly: Polynomial) -> _Packed:
-    """Packed restriction of a polynomial in Plücker variables and q.
-
-    table holds the path sum of every Plücker variable of poly.  Each
-    monomial c * f_1 * ... * f_k expands straight into one accumulator for
-    the whole polynomial: every factor is a path sum, whose coefficients
-    _path_sums makes all 1, or q, the single key 1 with coefficient 1, so
-    each choice of one key per factor adds c at the sum of the keys chosen.
-    Cancelled keys are dropped once, at the end, and the result's bound is
-    the largest sum of factor bounds over the monomials.  The monomials are
-    read in canonical order, so a torus variable, or a partial product
-    bound past the packed field maximum, raises at the first monomial that
-    has one.
-    """
+    table = _path_sums(n, targets)
     quantum = _Packed(n, {1: 1}, 1)
-    acc: dict = {}
-    get = acc.get
-    bound = 0
-    for mono, coeff in poly.sorted_terms():
-        factors = []
-        mono_bound = 0
-        for var, exp in mono:
-            if not (is_plucker(var) or is_quantum(var)):
-                raise ValueError(f"input already contains the torus variable {var!r}")
-            factor = table[var[1]] if is_plucker(var) else quantum
-            factors += [factor.terms] * exp
-            mono_bound = reduce(_product_bound, [factor.bound] * exp, mono_bound)
-        for key in map(sum, product(*factors)):
-            acc[key] = get(key, 0) + coeff
-        bound = max(bound, mono_bound)
-    return _Packed(n, {key: c for key, c in acc.items() if c}, bound)
+    restricted = []
+    for poly in polys:
+        acc: dict = {}
+        get = acc.get
+        bound = 0
+        for mono, coeff in poly.sorted_terms():
+            factors = []
+            mono_bound = 0
+            for var, exp in mono:
+                if not (is_plucker(var) or is_quantum(var)):
+                    raise ValueError(f"input already contains the torus variable {var!r}")
+                factor = table[var[1]] if is_plucker(var) else quantum
+                factors += [factor.terms] * exp
+                mono_bound = reduce(_product_bound, [factor.bound] * exp, mono_bound)
+            for key in map(sum, product(*factors)):
+                acc[key] = get(key, 0) + coeff
+            bound = max(bound, mono_bound)
+        restricted.append(_Packed(n, {key: c for key, c in acc.items() if c}, bound))
+    return restricted
 
 
 def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
@@ -386,7 +360,8 @@ def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
     expanded exactly; polynomials already containing torus variables, or
     Plücker variables that are not diagrams of rank n, are rejected.
     """
-    return _restrict(n, _restriction_table(n, [poly]), poly)
+    (restricted,) = _restricted(n, [poly])
+    return restricted
 
 
 def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
@@ -427,16 +402,9 @@ def term_restriction_factor(n: int, i: int) -> Polynomial:
     return _Packed(n, dict.fromkeys([bits[t] for t in positions], 1), 1)
 
 
-def _restricted_pairs(n: int, terms, *extra: Diagram) -> tuple[dict, list]:
-    """The path sums of the terms' Plücker diagrams plus extra ones, and the
-    packed restricted (numerator, denominator) of each term, one pass each."""
-    polys = [poly for term in terms for poly in (term.numerator, term.denominator)]
-    table = _restriction_table(n, polys, *extra)
-    pairs = [
-        (_restrict(n, table, term.numerator), _restrict(n, table, term.denominator))
-        for term in terms
-    ]
-    return table, pairs
+def _fractions(terms) -> list:
+    """The numerator and denominator of each term, in term order."""
+    return [poly for term in terms for poly in (term.numerator, term.denominator)]
 
 
 def _has_term_identity(n: int, term) -> bool:
@@ -453,8 +421,7 @@ def _term_residual(n: int, i: int, numerator, denominator) -> _Packed:
 
 def term_restriction_residual(n: int, i: int) -> Polynomial:
     """Term residual of the i-th superpotential term (see restriction_residuals)."""
-    _, (pair,) = _restricted_pairs(n, [potential_term(n, i)])
-    return _term_residual(n, i, *pair)
+    return _term_residual(n, i, *_restricted(n, _fractions([potential_term(n, i)])))
 
 
 def verify_term_restriction(n: int, i: int) -> bool:
@@ -467,14 +434,15 @@ def coordinate_sum(n: int) -> Polynomial:
     return _Packed(n, dict.fromkeys(_position_bits(n), 1), 1)
 
 
-def _laurent_diagrams(n: int) -> tuple[Diagram, Diagram]:
-    """The staircase and the row-prefix n-2 diagram laurent_potential reads."""
-    return staircase(n), staircase_prefix(n, n - 2)
+def _laurent_polys(n: int) -> list:
+    """p[staircase] and q * p[row-prefix n-2], whose restrictions are the
+    denominator and the quantum part of the Laurent form."""
+    full, prefix = map(plucker_poly, (staircase(n), staircase_prefix(n, n - 2)))
+    return [full, Polynomial.variable(QUANTUM) * prefix]
 
 
-def _laurent_potential(n: int, table: dict) -> RationalExpression:
-    full, prefix = (table[rows] for rows in _laurent_diagrams(n))
-    quantum = _Packed(n, {1: 1}, 1) * prefix
+def _laurent_form(n: int, full: _Packed, quantum: _Packed) -> RationalExpression:
+    """The Laurent form from the restrictions of _laurent_polys(n)."""
     return RationalExpression(coordinate_sum(n) * full + quantum, full)
 
 
@@ -486,23 +454,22 @@ def laurent_potential(n: int) -> RationalExpression:
     over the full staircase monomial, so the whole expression is a Laurent
     polynomial in the torus coordinates.
     """
-    return _laurent_potential(n, _path_sums(n, _laurent_diagrams(n)))
+    return _laurent_form(n, *_restricted(n, _laurent_polys(n)))
 
 
-def _quotient_sum(n: int, pairs) -> RationalExpression:
-    """The restricted (numerator, denominator) pairs added as quotients.
+def _quotient_sum(n: int, restricted: list) -> RationalExpression:
+    """Restricted numerators and denominators, alternating, added as quotients.
 
     The packed zero quotient is the explicit start, so no pairs sum to it
     rather than to the int 0.
     """
     zero = RationalExpression(_Packed(n, {}, 0), _Packed(n, {0: 1}, 0))
-    return sum(starmap(RationalExpression, pairs), zero)
+    return sum(map(RationalExpression, restricted[::2], restricted[1::2]), zero)
 
 
 def restricted_term_sum(n: int) -> RationalExpression:
     """Sum over all terms of restrict(numerator)/restrict(denominator)."""
-    _, pairs = _restricted_pairs(n, superpotential(n))
-    return _quotient_sum(n, pairs)
+    return _quotient_sum(n, _restricted(n, _fractions(superpotential(n))))
 
 
 def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
@@ -518,22 +485,24 @@ def restriction_residuals(n: int, terms) -> tuple[list, list, bool]:
     lacks some terms fails only the Laurent verdict, as a partial sum is not
     the Laurent form.  The verdict is False when some denominator restricts
     to zero, as no quotient exists.
-    A residual is zero iff its identity holds.  One dynamic program
-    restricts exactly the diagrams these identities read: the Plücker
-    variables of the terms and the two diagrams of laurent_potential.  A
-    Plücker variable that is not a diagram of rank n raises ValueError.
+    A residual is zero iff its identity holds.  One _restricted call
+    restricts the terms' numerators and denominators and, at the end of the
+    same list, the two polynomials of the Laurent form, so one dynamic
+    program reads exactly the diagrams these identities need.  A Plücker
+    variable that is not a diagram of rank n raises ValueError.
     """
-    table, pairs = _restricted_pairs(n, terms, *_laurent_diagrams(n))
+    *restricted, full, quantum = _restricted(n, _fractions(terms) + _laurent_polys(n))
+    numerators, denominators = restricted[::2], restricted[1::2]
     denominator_residuals = [
         denominator - predicted_denominator_restriction(n, term.index)
-        for term, (_, denominator) in zip(terms, pairs)
+        for term, denominator in zip(terms, denominators)
     ]
     term_residuals = [
-        _term_residual(n, term.index, *pair)
-        for term, pair in zip(terms, pairs)
+        _term_residual(n, term.index, numerator, denominator)
+        for term, numerator, denominator in zip(terms, numerators, denominators)
         if _has_term_identity(n, term)
     ]
-    holds = all(denominator for _, denominator in pairs) and (
-        _quotient_sum(n, pairs) == _laurent_potential(n, table)
+    holds = all(denominators) and (
+        _quotient_sum(n, restricted) == _laurent_form(n, full, quantum)
     )
     return denominator_residuals, term_residuals, holds

@@ -30,7 +30,7 @@ import pytest
 from ogmirror import checks, potential, torus
 from ogmirror.checks import DETAIL_TERMS, all_passed, restriction_checks, run_checks
 from ogmirror.diagrams import all_diagrams, staircase, staircase_prefix
-from ogmirror.polynomials import _PLUCKER_KIND, QUANTUM, Polynomial, plucker_var
+from ogmirror.polynomials import _PLUCKER_KIND, QUANTUM, Polynomial, plucker_var, torus_var
 from ogmirror.potential import (
     box_derivation,
     denominator_pair_levels,
@@ -410,16 +410,40 @@ def test_battery_fails_the_derivation_on_a_trimmed_diagram(n, monkeypatch):
 
 @pytest.mark.parametrize("n", (2, 3, 6))
 def test_each_term_is_restricted_once(n, monkeypatch):
+    """One _restricted call: every numerator and denominator in term order,
+    then the staircase and q times the row-prefix n-2 of the Laurent form."""
     calls = []
-    restrict = torus._restrict
+    restricted = torus._restricted
 
-    def counting_restrict(rank, table, poly):
-        calls.append(poly)
-        return restrict(rank, table, poly)
+    def recording_restricted(rank, polys):
+        calls.append((rank, list(polys)))
+        return restricted(rank, polys)
 
-    monkeypatch.setattr(torus, "_restrict", counting_restrict)
-    restriction_checks(n, superpotential(n))
-    assert len(calls) == 2 * (n + 2)
+    monkeypatch.setattr(torus, "_restricted", recording_restricted)
+    terms = superpotential(n)
+    assert all_passed(restriction_checks(n, terms))
+    fractions = [poly for term in terms for poly in (term.numerator, term.denominator)]
+    prefix = _p(*staircase_prefix(n, n - 2))
+    laurent = [_p(*staircase(n)), Polynomial.variable(QUANTUM) * prefix]
+    assert len(fractions) == 2 * (n + 2)
+    assert calls == [(n, fractions + laurent)]
+
+
+def test_invalid_diagram_is_named_before_any_term_is_expanded():
+    """A torus variable in term 1 would raise once term 1 expands, but the
+    invalid Plücker variable of term 3 is refused before any expansion."""
+    n = 4
+    terms = superpotential(n)
+    term = terms[1]
+    torus_coordinate = Polynomial.variable(torus_var(1, 1))
+    terms[1] = term._replace(numerator=term.numerator * torus_coordinate)
+    with pytest.raises(ValueError, match="already contains the torus variable"):
+        restriction_residuals(n, terms)
+    term = terms[3]
+    terms[3] = term._replace(denominator=term.denominator * _p(2, 0, 0, 0))
+    with pytest.raises(ValueError) as raised:
+        restriction_residuals(n, terms)
+    assert str(raised.value) == "p[2,0,0,0] is not a diagram of rank 4"
 
 
 def test_corrupted_restriction_entry_fails_named_checks(monkeypatch):

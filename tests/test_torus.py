@@ -14,7 +14,7 @@ from _polynomial_reference import (
     reference_restrict_all,
     reference_term_sum,
 )
-from ogmirror.diagrams import all_diagrams, box_count, box_label, staircase
+from ogmirror.diagrams import all_diagrams, box_count, box_label, staircase, staircase_prefix
 from ogmirror.polynomials import (
     QUANTUM,
     Polynomial,
@@ -228,6 +228,20 @@ def test_laurent_potential_n4_quantum_part():
     assert laurent_potential(4) == expected
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_laurent_potential_packs_like_its_closed_form(n):
+    """Numerator and denominator carry exactly the closed form's packed
+    terms and bounds, which cross-multiplied equality would not see."""
+    full = restrict_plucker(n, staircase(n))
+    prefix = restrict_plucker(n, staircase_prefix(n, n - 2))
+    quantum = _Packed(n, {1: 1}, 1) * prefix
+    expected = RationalExpression(coordinate_sum(n) * full + quantum, full)
+    actual = laurent_potential(n)
+    for part in ("numerator", "denominator"):
+        got, want = getattr(actual, part), getattr(expected, part)
+        assert (got.terms, got.bound) == (want.terms, want.bound)
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_restricted_term_sum_matches_laurent(n):
     assert restricted_term_sum(n) == laurent_potential(n)
@@ -395,6 +409,31 @@ def test_path_sums_refuse_a_repeated_monomial(monkeypatch):
     assert subsequence_count(3, (1, 1, 0)) > 1
     with pytest.raises(RuntimeError, match=re.escape("(1, 1, 0) repeats a monomial")):
         _path_sums(3, [(1, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: restrict_all(4),
+        lambda: restrict_plucker(4, (1, 1, 0, 0)),
+        lambda: restrict_polynomial(4, p(1, 1, 0, 0) * p(1, 0, 0, 0) + 1),
+        lambda: term_restriction_residual(4, 2),
+        lambda: restricted_term_sum(4),
+        lambda: laurent_potential(4),
+        lambda: restriction_residuals(4, superpotential(4)),
+    ),
+)
+def test_each_public_restriction_runs_one_dynamic_program(call, monkeypatch):
+    calls = []
+    path_sums = torus._path_sums
+
+    def counting_path_sums(rank, targets):
+        calls.append(rank)
+        return path_sums(rank, targets)
+
+    monkeypatch.setattr(torus, "_path_sums", counting_path_sums)
+    call()
+    assert calls == [4]
 
 
 def test_single_target_scans_only_diagrams_inside_it(monkeypatch):
