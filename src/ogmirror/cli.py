@@ -8,9 +8,10 @@ identical invocations produce byte-identical bytes.
 
 The front end uses the standard library alone.  `main(args, prog_name)`
 parses one command line with argparse and runs one command; `main.commands`
-maps each command name to a Command, whose `callback` is read when the
-command runs, so a caller may replace it.  Each command imports the layers
-it uses when it runs, so `hasse` and `diagrams` load only the box calculus.
+maps each command name to a plain record (a `types.SimpleNamespace`) of its
+`name` and `callback`, the callback read when the command runs, so a caller
+may replace it.  Each command imports the layers it uses when it runs, so
+`hasse` and `diagrams` load only the box calculus.
 `run_checks` and `restrict_plucker` stay attributes of this module, loading
 their layer on the first call, so a caller can still replace them here.
 """
@@ -20,8 +21,9 @@ import json
 import os
 import sys
 from functools import cache
+from types import SimpleNamespace
 
-from .diagrams import all_diagrams, format_diagram, hasse_dot, parse_diagram
+from .diagrams import all_diagrams, digit_run, format_diagram, hasse_dot, parse_diagram
 
 
 def run_checks(n):
@@ -151,20 +153,10 @@ def hasse(n, fmt):
         write(chunk)
 
 
-class Command:
-    """One subcommand: its name and the function that runs it."""
-
-    __slots__ = ("name", "callback")
-
-    def __init__(self, name, callback):
-        self.name = name
-        self.callback = callback
-
-
 def _rank(text):
-    """An --n, --from or --to value: an integer of at least 2."""
+    """An --n, --from or --to value: a run of ASCII digits spelling at least 2."""
     try:
-        value = int(text)
+        value = digit_run(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 2:
@@ -172,13 +164,13 @@ def _rank(text):
     return value
 
 
-_COMMANDS = (diagrams, potential, restrict, verify, hasse)
-_FORMATS = {
-    "diagrams": ("text", "json"),
-    "potential": ("text", "json", "latex"),
-    "restrict": ("text", "json", "latex"),
-    "verify": ("text", "json"),
-    "hasse": ("dot",),
+# Each command and its output formats, the first the default.
+_COMMANDS = {
+    diagrams: ("text", "json"),
+    potential: ("text", "json", "latex"),
+    restrict: ("text", "json", "latex"),
+    verify: ("text", "json"),
+    hasse: ("dot",),
 }
 
 
@@ -197,29 +189,29 @@ def _parsers(prog):
     subparsers = parser.add_subparsers(
         title="commands", dest="command", metavar="COMMAND", required=True
     )
-    parsers = {
-        callback.__name__: subparsers.add_parser(
+    rank = {"type": _rank, "metavar": "N"}
+    parsers = {}
+    for callback, formats in _COMMANDS.items():
+        parsers[callback.__name__] = command = subparsers.add_parser(
             callback.__name__,
             help=callback.__doc__,
             description=callback.__doc__,
             allow_abbrev=False,
         )
-        for callback in _COMMANDS
-    }
-    rank = {"type": _rank, "metavar": "N"}
-    for name in ("diagrams", "potential", "restrict", "hasse"):
-        parsers[name].add_argument(
-            "--n", required=True, help="Rank parameter (at least 2).", **rank
-        )
-    parsers["restrict"].add_argument(
-        "--diagram", dest="diagram_text", required=True, metavar="ROWS",
-        help="Row lengths, e.g. 1,2,1.",
-    )
-    parsers["verify"].add_argument("--n", help="One rank.", **rank)
-    parsers["verify"].add_argument("--from", dest="start", help="First rank.", **rank)
-    parsers["verify"].add_argument("--to", dest="stop", help="Last rank.", **rank)
-    for name, formats in _FORMATS.items():
-        parsers[name].add_argument(
+        if callback is verify:
+            command.add_argument("--n", help="One rank.", **rank)
+            command.add_argument("--from", dest="start", help="First rank.", **rank)
+            command.add_argument("--to", dest="stop", help="Last rank.", **rank)
+        else:
+            command.add_argument(
+                "--n", required=True, help="Rank parameter (at least 2).", **rank
+            )
+        if callback is restrict:
+            command.add_argument(
+                "--diagram", dest="diagram_text", required=True, metavar="ROWS",
+                help="Row lengths, e.g. 1,2,1.",
+            )
+        command.add_argument(
             "--format", dest="fmt", choices=formats, default=formats[0]
         )
     return parser, parsers
@@ -271,7 +263,8 @@ def _run(command, params, parser):
 
 
 main.commands = {
-    callback.__name__: Command(callback.__name__, callback) for callback in _COMMANDS
+    callback.__name__: SimpleNamespace(name=callback.__name__, callback=callback)
+    for callback in _COMMANDS
 }
 
 

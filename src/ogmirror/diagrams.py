@@ -241,7 +241,11 @@ def add_unique_box(n: int, rows) -> Diagram:
 
 @lru_cache(maxsize=None)
 def all_diagrams(n: int) -> tuple[Diagram, ...]:
-    """Every valid diagram for the rank, in lexicographic order (2^n of them)."""
+    """Every valid diagram for the rank, in lexicographic order (2^n of them).
+
+    Built row by row with no sort: each sorted prefix is extended by its
+    row lengths in ascending order, which keeps the whole list sorted.
+    """
     check_rank(n)
     partial = [()]
     for r in range(1, n + 1):
@@ -251,21 +255,20 @@ def all_diagrams(n: int) -> tuple[Diagram, ...]:
             for rows in partial
             for c in range(r + 1 if not rows or rows[-1] == r - 1 else rows[-1] + 1)
         ]
-    return tuple(sorted(partial))
+    return tuple(partial)
 
 
 def hasse_edges(n: int) -> tuple[tuple[Diagram, Diagram, int], ...]:
     """All covering pairs (smaller, larger, label of the added box), sorted.
 
-    The larger diagrams are the tuples of all_diagrams, shared, not copied.
-    Growing a lower row gives a smaller tuple, so each diagram's covers,
-    bottom row first, and the diagrams in order are already sorted.
+    The smaller diagrams are the tuples of all_diagrams; each larger one is
+    a fresh tuple equal to one of them, not shared with it.  Growing a lower
+    row gives a smaller tuple, so each diagram's covers, bottom row first,
+    and the diagrams in order are already sorted.
     """
-    diagrams = all_diagrams(n)
-    canonical = {rows: rows for rows in diagrams}
     return tuple(
-        (rows, canonical[grown], label)
-        for rows in diagrams
+        (rows, grown, label)
+        for rows in all_diagrams(n)
         for label, grown in reversed(_grown(n, rows).items())
     )
 
@@ -331,23 +334,33 @@ def format_diagram(rows) -> str:
     return ",".join(map(str, rows))
 
 
+def digit_run(text: str) -> int:
+    """The int that a run of ASCII digits spells, whitespace allowed around it.
+
+    A sign, an underscore or another script's digit (``+3``, ``1_0``,
+    ``٣``), which int() would accept, raises ValueError, as does a run past
+    the int digit limit.
+    """
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a run of ASCII digits")
+    return int(text)
+
+
 def parse_diagram(n: int, text: str) -> Diagram:
     """Parse "1,2,1", "0,0,0" or "empty" into a canonical diagram.
 
-    Truncated vectors are zero-padded to length n.  A row length is a run
-    of ASCII digits, with whitespace allowed around it; signs, underscores
-    and other digits are unparseable.  Unparseable text and syntactically
-    fine but invalid diagrams raise ValueError with distinct messages.
+    Truncated vectors are zero-padded to length n.  A row length is read
+    by digit_run, so signs, underscores and other digits are unparseable.
+    Unparseable text and syntactically fine but invalid diagrams raise
+    ValueError with distinct messages.
     """
     check_rank(n)
     text = text.strip()
     if text == "empty":
         return empty_diagram(n)
-    parts = [part.strip() for part in text.split(",")]
     try:
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValueError("a row length is not a run of ASCII digits")
-        rows = tuple(map(int, parts))  # refuses runs past the int digit limit
+        rows = tuple(map(digit_run, text.split(",")))
     except ValueError:
         raise ValueError(
             f"cannot parse diagram {text!r}: expected comma-separated row"

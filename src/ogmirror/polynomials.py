@@ -90,16 +90,17 @@ def variable_latex(var: Variable) -> str:
 
 
 def _integer(value, what: str) -> int:
-    """value itself if it is an int; rounding anything else would lose exactness."""
+    """value as a plain int (a bool becomes its int) if it is an int;
+    rounding anything else would lose exactness."""
     if not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {value!r}")
-    return value
+    return int(value)
 
 
 def _monomial(exponents: dict) -> Monomial:
     items = []
     for var, exp in exponents.items():
-        if _integer(exp, "exponent") == 0:
+        if (exp := _integer(exp, "exponent")) == 0:
             continue
         if exp < 0:
             raise ValueError(f"negative exponent {exp} for {variable_name(var)}")
@@ -164,7 +165,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, var: Variable, power: int = 1) -> "Polynomial":
-        if _integer(power, "power") < 1:
+        if (power := _integer(power, "power")) < 1:
             raise ValueError(f"power must be >= 1, got {power}")
         return cls.from_terms({((var, power),): 1})
 

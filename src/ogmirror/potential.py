@@ -83,14 +83,11 @@ def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ..
     """
     check_rank(n)
     check_index("middle term index", i, 2, n - 1)
-    level = [(staircase_prefix(n, i - 1), full_columns(n, i))]
-    levels = []
-    while level:
-        levels.append(tuple(sorted(level)))
-        moved = {
-            after for first, second in level for after in _box_moves(n, first, second)
-        }
-        level = sorted(moved)
+    levels = [((staircase_prefix(n, i - 1), full_columns(n, i)),)]
+    while moved := {
+        pair for first, second in levels[-1] for pair in _box_moves(n, first, second)
+    }:
+        levels.append(tuple(sorted(moved)))
     return tuple(levels)
 
 
@@ -186,6 +183,7 @@ def potential_term(n: int, i: int) -> SuperpotentialTerm:
     """
     check_rank(n)
     check_index("term index", i, 0, n + 1)
+    i = int(i)  # a bool index is stored as its int
     bases = {0: empty_diagram(n), 1: full_columns(n, 1), n: staircase_prefix(n, n - 1)}
     if i in bases:
         base = bases[i]

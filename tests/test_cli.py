@@ -151,6 +151,24 @@ def test_restrict_refuses_row_lengths_int_would_accept(runner, text):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["diagrams", "--n"],
+        ["verify", "--to", "2", "--from"],
+        ["verify", "--from", "11", "--to"],
+    ),
+    ids=("--n", "--from", "--to"),
+)
+def test_rank_options_refuse_numbers_int_would_accept(runner, args, text):
+    """A rank, like a --diagram row length, is a run of ASCII digits."""
+    result = runner.invoke(main, [*args, text])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(f"{text!r} is not an integer\n")
+    assert result.stdout == ""
+
+
 def test_verify_single_rank(runner):
     result = runner.invoke(main, ["verify", "--n", "4"])
     assert result.exit_code == 0

@@ -163,6 +163,14 @@ def test_all_diagrams_count_and_validity(n):
     assert all(is_valid(n, rows) for rows in rows_list)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_all_diagrams_enumerates_in_strictly_increasing_order(n):
+    """all_diagrams returns its row-by-row enumeration unsorted, so the
+    enumeration itself must be lexicographic."""
+    rows_list = all_diagrams(n)
+    assert all(lower < upper for lower, upper in zip(rows_list, rows_list[1:]))
+
+
 def test_hasse_edges_n2_chain():
     assert hasse_edges(2) == (
         ((0, 0), (1, 0), 3),

@@ -157,6 +157,36 @@ def test_non_integer_coefficients_and_exponents_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda: Polynomial.variable(torus_var(1, 1), True),
+        lambda: Polynomial([(1, {torus_var(1, 1): True})]),
+    ),
+)
+def test_a_bool_exponent_is_stored_as_its_int(build):
+    poly = build()
+    assert poly.to_json() == '[{"coefficient": 1, "exponents": {"a[1,1]": 1}}]'
+    ((mono, _),) = poly.sorted_terms()
+    assert [type(exp) for _, exp in mono] == [int]
+
+
+def test_negative_exponents_and_powers_below_one_are_rejected():
+    with pytest.raises(ValueError, match="^negative exponent -1 for q$"):
+        Polynomial([(1, {QUANTUM: -1})])
+    with pytest.raises(ValueError, match="^power must be >= 1, got 0$"):
+        Polynomial.variable(QUANTUM, 0)
+
+
+def test_rational_expression_rejects_a_string():
+    with pytest.raises(TypeError):
+        RationalExpression("x")
+
+
+def test_polynomial_repr():
+    assert repr(Polynomial.variable(torus_var(1, 1))) == "Polynomial<a[1,1]>"
+
+
 def test_pow():
     base = a(1, 1) + 1
     assert base**0 == 1

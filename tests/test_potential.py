@@ -69,6 +69,13 @@ def test_pair_appears_in_at_most_one_level(n):
                 seen.add(pair)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_denominator_levels_are_sorted(n):
+    for i in range(2, n):
+        for level in denominator_pair_levels(n, i):
+            assert list(level) == sorted(level)
+
+
 def test_numerator_pair_levels_n4_i3():
     assert numerator_pair_levels(4, 3) == (
         (((1, 2, 1, 0), (1, 2, 3, 3)),),
@@ -345,3 +352,11 @@ def test_potential_json_writes_edge_terms():
     for term in terms:
         assert_json_writes_its_document([term])
     assert_json_writes_its_document(terms)
+
+
+def test_a_bool_term_index_is_stored_as_its_int():
+    term = potential_term(4, True)
+    assert type(term.index) is int
+    document = potential_to_json([term])
+    assert '"index": 1,' in document
+    assert json.loads(document)[0]["index"] == 1
