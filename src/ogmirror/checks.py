@@ -20,7 +20,6 @@ canonical one does, and a list without some terms fails laurent_assembly
 and nothing else.
 """
 
-from collections import Counter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -77,10 +76,11 @@ def _diagram_count(n):
 def _unique_positions(n):
     bad = []
     for rows in all_diagrams(n):
-        fits = Counter([(label, "addable") for _, _, label in _addable_cells(n, rows)])
-        fits.update((label, "removable") for _, _, label in _removable_cells(n, rows))
-        repeated = sorted(key for key, count in fits.items() if count > 1)
-        bad += [(kind, rows, label) for label, kind in repeated]
+        fits = [(label, "addable") for _, _, label in _addable_cells(n, rows)]
+        fits += [(label, "removable") for _, _, label in _removable_cells(n, rows)]
+        if len(set(fits)) < len(fits):
+            repeated = sorted({fit for fit in fits if fits.count(fit) > 1})
+            bad += [(kind, rows, label) for label, kind in repeated]
     return CheckResult(
         "unique_positions", n, None, not bad, f"violations: {bad}" if bad else ""
     )

@@ -101,36 +101,38 @@ def verify(n, start, stop, fmt):
     else:
         raise UsageError("provide --n or both --from and --to")
 
+    failed = False
+    document = []
+    for rank in ranks:
+        results = run_checks(rank)
+        verified = all_passed(results)
+        failed |= not verified
+        if fmt == "json":
+            document.append(
+                {
+                    "n": rank,
+                    "checks": [
+                        {
+                            "name": result.name,
+                            "i": result.index,
+                            "pass": result.passed,
+                            "detail": result.detail,
+                        }
+                        for result in results
+                    ],
+                    "verified": verified,
+                }
+            )
+        else:
+            _print_report(rank, results)
     if fmt == "json":
-        reports = [(rank, run_checks(rank)) for rank in ranks]
-        document = [
-            {
-                "n": rank,
-                "checks": [
-                    {
-                        "name": result.name,
-                        "i": result.index,
-                        "pass": result.passed,
-                        "detail": result.detail,
-                    }
-                    for result in results
-                ],
-                "verified": all_passed(results),
-            }
-            for rank, results in reports
-        ]
         print(json.dumps(document, indent=2))
-        failed = not all(all_passed(results) for _, results in reports)
-    else:
-        failed = False
-        for rank in ranks:
-            failed |= not _print_report(rank, run_checks(rank))
     if failed:
         sys.exit(1)
 
 
 def _print_report(rank, results):
-    """Print and flush one rank's check lines; True when every check passed."""
+    """Print and flush one rank's check lines."""
     failed = 0
     for result in results:
         index = "-" if result.index is None else result.index
@@ -143,22 +145,19 @@ def _print_report(rank, results):
                 print(f"  {result.detail}", file=sys.stderr)
     print(f"FAILED {failed} checks" if failed else f"VERIFIED n={rank}")
     sys.stdout.flush()
-    return not failed
 
 
 def hasse(n, fmt):
     """Emit the diagram poset as a DOT graph, edges labeled by added boxes."""
-    write = sys.stdout.write
-    for chunk in hasse_dot(n):
-        write(chunk)
+    sys.stdout.writelines(hasse_dot(n))
 
 
 def _rank(text):
     """An --n, --from or --to value: a run of ASCII digits spelling at least 2."""
     try:
         value = digit_run(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     if value < 2:
         raise argparse.ArgumentTypeError("rank must be at least 2")
     return value

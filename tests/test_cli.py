@@ -151,7 +151,7 @@ def test_restrict_refuses_row_lengths_int_would_accept(runner, text):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663"])
+@pytest.mark.parametrize("text", ["1_0", "+3", "-3", "\u0663"])
 @pytest.mark.parametrize(
     "args",
     (
@@ -165,7 +165,7 @@ def test_rank_options_refuse_numbers_int_would_accept(runner, args, text):
     """A rank, like a --diagram row length, is a run of ASCII digits."""
     result = runner.invoke(main, [*args, text])
     assert result.exit_code == 2
-    assert result.stderr.endswith(f"{text!r} is not an integer\n")
+    assert result.stderr.endswith(f"{text!r} is not a run of ASCII digits\n")
     assert result.stdout == ""
 
 
@@ -261,6 +261,37 @@ def test_verify_fails_on_a_broken_potential(runner, monkeypatch):
     ]
     assert "FAILED 4 checks" in result.output
     assert "VERIFIED" not in result.output
+
+
+def test_verify_json_reports_a_failing_rank_among_passing_ones(runner, monkeypatch):
+    """JSON names the same failures and details as text, and marks only the
+    broken rank unverified."""
+    superpotential = checks.superpotential
+    broken, _ = flipped_level_sign(4)
+    monkeypatch.setattr(
+        "ogmirror.checks.superpotential",
+        lambda n: list(broken) if n == 4 else superpotential(n),
+    )
+    args = ["verify", "--from", "3", "--to", "5"]
+    result = runner.invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 1
+    document = json.loads(result.stdout)
+    assert [rank["verified"] for rank in document] == [True, False, True]
+    failing = [(c["name"], c["i"]) for c in document[1]["checks"] if not c["pass"]]
+    assert failing == [
+        ("derivation_identity", 3),
+        ("denominator_restriction", 3),
+        ("term_restriction", 3),
+        ("laurent_assembly", None),
+    ]
+    text = runner.invoke(main, args)
+    assert text.exit_code == 1
+    assert [line for line in text.stdout.splitlines() if line.endswith(" FAIL")] == [
+        f"CHECK {name} n=4 i={'-' if i is None else i} FAIL" for name, i in failing
+    ]
+    checks_run = [check for rank in document for check in rank["checks"]]
+    details = [c["detail"] for c in checks_run if not c["pass"] and c["detail"]]
+    assert [f"  {detail}" for detail in details] == text.stderr.splitlines()
 
 
 def test_verify_fails_without_a_traceback_on_a_non_homogeneous_denominator(

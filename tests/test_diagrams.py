@@ -342,6 +342,16 @@ def test_label_addable_twice_is_a_structural_error(monkeypatch):
     assert "('addable', (1, 2, 1, 0), 3)" in result.detail
 
 
+def test_uniqueness_violations_sort_by_diagram_then_label(monkeypatch):
+    # (1,2,1,0) then releases label 2 twice and accepts label 3 twice
+    _relabel(monkeypatch, 4, 2, 2, 2)
+    _relabel(monkeypatch, 4, 4, 1, 3)
+    assert checks._unique_positions(4).detail == (
+        "violations: [('addable', (1, 1, 0, 0), 2), ('removable', (1, 2, 1, 0), 2), "
+        "('addable', (1, 2, 1, 0), 3), ('removable', (1, 2, 2, 1), 3)]"
+    )
+
+
 def test_label_removable_twice_is_a_structural_error(monkeypatch):
     # (1,2,1,0) releases label 2 at (3,1) and label 4 at (2,2); relabel (3,1) to 4
     _relabel(monkeypatch, 4, 3, 1, 4)
