@@ -72,11 +72,22 @@ def is_valid(n: int, rows) -> bool:
         return False
     above = 0
     for r, c in enumerate(rows, 1):
-        # box (r, c) needs box (r-1, c) unless it sits on the diagonal
-        if not isinstance(c, int) or not 0 <= c <= r or (c > above and above < r - 1):
+        if not isinstance(c, int) or not 0 <= c <= _row_limit(r, above):
             return False
         above = c
     return True
+
+
+def _row_limit(r: int, above: int) -> int:
+    """The most boxes row r may hold below a row of ``above`` boxes.
+
+    Box (r, c) needs box (r-1, c) unless it sits on the diagonal, so row r
+    may not outgrow the row above unless that row is full (r-1 boxes), and
+    then it may reach the staircase boundary, r boxes.  This is the only
+    statement of the staircase rule: validation, enumeration, the addable
+    scan and the DOT builder all read it.
+    """
+    return r if above == r - 1 else above
 
 
 def diagram(n: int, rows) -> Diagram:
@@ -136,14 +147,14 @@ def _addable_cells(n: int, rows: Diagram) -> list[tuple[int, int, int]]:
 
     Only the cell just past the end of a row can qualify (anything further
     right would leave an empty space to its left).  Growing row r only
-    constrains the row above it (the rule of is_valid): that row must be
+    constrains the row above it (the rule of _row_limit): that row must be
     longer, or full; the row below only gains room.
     """
     labels = _label_table(n)
     return [
         (r, c + 1, labels[r - 1][c])
         for r, (above, c) in enumerate(zip((0,) + rows, rows), 1)
-        if c < r and (above > c or above == r - 1)
+        if c < _row_limit(r, above)
     ]
 
 
@@ -214,13 +225,8 @@ def box_moves(n: int, pair: DiagramPair) -> list[DiagramPair]:
     ascending label order.
     """
     first, second = pair
-    return _box_moves(n, diagram(n, first), diagram(n, second))
-
-
-def _box_moves(n: int, first: Diagram, second: Diagram) -> list[DiagramPair]:
-    """box_moves of two valid full-length diagrams, unchecked."""
-    shrunk = _shrunk(n, first)
-    grown = _grown(n, second)
+    shrunk = _shrunk(n, diagram(n, first))
+    grown = _grown(n, diagram(n, second))
     return [(shrunk[label], grown[label]) for label in sorted(shrunk) if label in grown]
 
 
@@ -249,11 +255,10 @@ def all_diagrams(n: int) -> tuple[Diagram, ...]:
     check_rank(n)
     partial = [()]
     for r in range(1, n + 1):
-        # row r may not outgrow the row above unless that row is full
         partial = [
             rows + (c,)
             for rows in partial
-            for c in range(r + 1 if not rows or rows[-1] == r - 1 else rows[-1] + 1)
+            for c in range(_row_limit(r, rows[-1] if rows else 0) + 1)
         ]
     return tuple(partial)
 
@@ -301,8 +306,8 @@ def hasse_dot(n: int):
         digits = [("," if r > 1 else "") + str(c) for c in range(r + 1)]
         grown = []
         for name, above, covers, mask in level:
-            top = r + 1 if above == r - 1 else above + 1
-            for c in range(top - 1):
+            limit = _row_limit(r, above)
+            for c in range(limit):
                 label = row_labels[c]
                 if mask >> label & 1:
                     rows = tuple(map(int, name.split(","))) if name else ()
@@ -313,7 +318,7 @@ def hasse_dot(n: int):
                 head = name + digits[c]
                 cover = (name + digits[c + 1], len(head), label)
                 grown.append((head, c, (cover,) + covers, mask | 1 << label))
-            grown.append((name + digits[top - 1], top - 1, covers, mask))
+            grown.append((name + digits[limit], limit, covers, mask))
         level = grown
     lines = chain(
         ["digraph hasse {\n"],

@@ -10,11 +10,11 @@ and move one box per level from the first diagram to the second, while the
 numerator levels are obtained by adding one box with label n+1-i to
 whichever component of each pair accepts it.
 
-The denominator recursion and the numerator promotion each run once per
-(rank, index): both level sets are memoised, so the check battery's pair
-and seed checks and the terms read the same levels.  Each signed sum puts
-every pair straight into its canonical monomial; each derivation is built
-in one Polynomial construction over its (coefficient, exponents) pairs.
+The denominator recursion and the numerator promotion run in one memoised
+pass per (rank, index), so the check battery's pair and seed checks and the
+terms read the same levels.  Each signed sum puts every pair straight into
+its canonical monomial; each derivation is built in one Polynomial
+construction over its (coefficient, exponents) pairs.
 
 The text, LaTeX and JSON forms of a whole potential each name a variable
 once, however many terms it occurs in; the JSON text is written directly.
@@ -28,8 +28,8 @@ from typing import NamedTuple
 from .diagrams import (
     DiagramPair,
     StructuralError,
-    _box_moves,
     _grown,
+    _shrunk,
     add_box,
     add_unique_box,
     check_index,
@@ -70,54 +70,53 @@ def plucker_poly(rows) -> Polynomial:
 
 
 @lru_cache(maxsize=None, typed=True)
-def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
-    """Levels of the box-moving recursion for the i-th denominator.
+def _pair_levels(n: int, i: int) -> tuple[tuple, tuple]:
+    """The denominator levels of the i-th middle term and their promotions.
 
     Level 0 holds the single pair (row-prefix i-1, column-fill i); level j+1
     holds every pair reached from level j by moving one box from the first
     diagram to the second.  The recursion stops at the first empty level,
     which happens within binomial(i, 2) + 1 levels because the first
-    component loses a box per move.  Every diagram the recursion reads is
-    one it built from valid diagrams, so it moves boxes without
-    re-validating them.
+    component loses a box per move.  Promoting a level adds a box labeled
+    n+1-i to whichever component of each pair accepts it; pairs where
+    neither component accepts contribute nothing, and both components
+    accepting is a structural fault.  One removable scan of the first
+    component and one addable scan of each component serve both the moves
+    and the promotion.  Every diagram the recursion reads is one it built
+    from valid diagrams, so it scans them without re-validating them.
     """
     check_rank(n)
     check_index("middle term index", i, 2, n - 1)
-    levels = [((staircase_prefix(n, i - 1), full_columns(n, i)),)]
-    while moved := {
-        pair for first, second in levels[-1] for pair in _box_moves(n, first, second)
-    }:
-        levels.append(tuple(sorted(moved)))
-    return tuple(levels)
-
-
-@lru_cache(maxsize=None, typed=True)
-def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
-    """One-box promotions of the memoised denominator levels.
-
-    For each pair, a box labeled n+1-i is added to whichever component
-    accepts it; pairs where neither component accepts contribute nothing,
-    and both components accepting is a structural fault.  The recursion
-    built every diagram it promotes, so they are grown without validation.
-    """
     label = n + 1 - i
-    levels = []
-    for level in denominator_pair_levels(n, i):
-        promoted = set()
+    denominator, numerator = [], []
+    level = ((staircase_prefix(n, i - 1), full_columns(n, i)),)
+    while level:
+        moved, promoted = set(), set()
         for first, second in level:
-            grown_first = _grown(n, first).get(label)
-            grown_second = _grown(n, second).get(label)
-            if grown_first is not None and grown_second is not None:
+            shrunk, grown = _shrunk(n, first), _grown(n, second)
+            moved.update((shrunk[k], grown[k]) for k in shrunk if k in grown)
+            up_first, up_second = _grown(n, first).get(label), grown.get(label)
+            if up_first and up_second:
                 raise StructuralError(
-                    f"label {label} addable to both components of"
-                    f" ({first}, {second})"
+                    f"label {label} addable to both components of ({first}, {second})"
                 )
-            if grown_first is not None:
-                promoted.add((grown_first, second))
-            elif grown_second is not None:
-                promoted.add((first, grown_second))
-        levels.append(tuple(sorted(promoted)))
-    return tuple(levels)
+            if up_first or up_second:
+                promoted.add((up_first or first, up_second or second))
+        denominator.append(level)
+        numerator.append(tuple(sorted(promoted)))
+        level = tuple(sorted(moved))
+    return tuple(denominator), tuple(numerator)
+
+
+def denominator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
+    """Levels of the box-moving recursion for the i-th denominator (see
+    _pair_levels)."""
+    return _pair_levels(n, i)[0]
+
+
+def numerator_pair_levels(n: int, i: int) -> tuple[tuple[DiagramPair, ...], ...]:
+    """The one-box promotions of the denominator levels (see _pair_levels)."""
+    return _pair_levels(n, i)[1]
 
 
 def signed_pair_sum(levels) -> Polynomial:

@@ -510,34 +510,25 @@ def test_battery_restricts_only_the_diagrams_it_reads(n, monkeypatch):
 
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_run_checks_runs_each_pair_recursion_once(n, monkeypatch):
+    # only the pair recursion calls _shrunk through potential, once per pair
     calls = []
-    moves = potential._box_moves
+    shrunk = potential._shrunk
 
-    def counting_moves(rank, first, second):
-        calls.append((first, second))
-        return moves(rank, first, second)
+    def counting_shrunk(rank, rows):
+        calls.append(rows)
+        return shrunk(rank, rows)
 
-    # only the numerator promotion calls _grown through potential
-    promoted = []
-    grown = potential._grown
-
-    def counting_grown(rank, rows):
-        promoted.append(rows)
-        return grown(rank, rows)
-
-    potential.denominator_pair_levels.cache_clear()
-    potential.numerator_pair_levels.cache_clear()
-    monkeypatch.setattr(potential, "_box_moves", counting_moves)
-    monkeypatch.setattr(potential, "_grown", counting_grown)
+    potential._pair_levels.cache_clear()
+    monkeypatch.setattr(potential, "_shrunk", counting_shrunk)
     run_checks(n)
-    pairs = [
-        pair
+    firsts = [
+        first
         for i in range(2, n)
         for level in denominator_pair_levels(n, i)
-        for pair in level
+        for first, _ in level
     ]
-    assert sorted(calls) == sorted(pairs)
-    assert len(promoted) == 2 * len(pairs) == {5: 16, 6: 24, 7: 40}[n]
+    assert sorted(calls) == sorted(firsts)
+    assert len(calls) == {5: 8, 6: 12, 7: 20}[n]
 
 
 def _detail_terms(detail):

@@ -65,6 +65,22 @@ def test_validity_rejects_rows_that_are_not_ints():
         check_plucker(4, floats)
 
 
+def _obeys_cell_rule(rows):
+    """The module docstring's rule, cell by cell: 0 <= c_r <= r, and for
+    r >= 2, c_{r-1} >= min(c_r, r-1)."""
+    return all(0 <= c <= r for r, c in enumerate(rows, 1)) and all(
+        rows[r - 2] >= min(rows[r - 1], r - 1) for r in range(2, len(rows) + 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_validity_matches_the_cell_rule(n):
+    # every row vector of every length up to n, entries -1..r+1 in row r
+    for length in range(n + 1):
+        for rows in product(*(range(-1, r + 2) for r in range(1, length + 1))):
+            assert is_valid(n, rows) == _obeys_cell_rule(rows), rows
+
+
 def test_diagram_pads_and_validates():
     assert diagram(4, (1, 2)) == (1, 2, 0, 0)
     bools = diagram(4, (True, True, False, False))

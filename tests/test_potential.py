@@ -7,6 +7,7 @@ import pytest
 from ogmirror import potential
 from ogmirror.diagrams import (
     StructuralError,
+    add_box,
     add_unique_box,
     box_moves,
     full_columns,
@@ -98,13 +99,43 @@ def test_numerator_seed_is_unique_extension(n):
         assert levels[0] == (expected,)
 
 
+def _public_pair_levels(n, i):
+    """Denominator levels by box_moves and promotions by add_box."""
+    label = n + 1 - i
+    levels, promotions = [], []
+    level = {(staircase_prefix(n, i - 1), full_columns(n, i))}
+    while level:
+        levels.append(tuple(sorted(level)))
+        promoted = set()
+        for first, second in level:
+            up_first, up_second = add_box(n, first, label), add_box(n, second, label)
+            assert up_first is None or up_second is None
+            if up_first is not None:
+                promoted.add((up_first, second))
+            elif up_second is not None:
+                promoted.add((first, up_second))
+        promotions.append(tuple(sorted(promoted)))
+        level = {moved for pair in level for moved in box_moves(n, pair)}
+    return tuple(levels), tuple(promotions)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_pair_levels_match_the_public_box_calculus(n):
+    for i in range(2, n):
+        expected = _public_pair_levels(n, i)
+        assert (denominator_pair_levels(n, i), numerator_pair_levels(n, i)) == expected
+
+
 def test_numerator_promotion_faults_on_double_add(monkeypatch):
-    # label 2 is addable to both copies of (1,2,0,0) at rank 4
-    crafted = ((((1, 2, 0, 0), (1, 2, 0, 0)),),)
-    potential.numerator_pair_levels.cache_clear()
-    monkeypatch.setattr(potential, "denominator_pair_levels", lambda n, i: crafted)
-    with pytest.raises(StructuralError):
-        numerator_pair_levels(4, 3)
+    # rank 4, index 3 then seeds the pair ((1,2,0,0), (1,2,0,0)), and label 2
+    # is addable to both copies of (1,2,0,0)
+    monkeypatch.setattr(potential, "full_columns", lambda n, i: (1, 2, 0, 0))
+    potential._pair_levels.cache_clear()
+    try:
+        with pytest.raises(StructuralError, match="label 2 addable to both components"):
+            numerator_pair_levels(4, 3)
+    finally:
+        potential._pair_levels.cache_clear()
 
 
 def test_signed_pair_sum_alternates():
