@@ -12,7 +12,11 @@ first t positions, R_0 is 1 on the empty diagram and 0 elsewhere, and
 the second summand counting only when that box is removable from D.  Only
 that summand uses a_t, so the two share no monomial: each R_t(D) is a
 disjoint union of coefficient-1 monomials, one per admissible subsequence.
-_path_sums evaluates this for a set of target diagrams and only those.
+_path_sums evaluates this for a set of target diagrams and only those.  By
+the subword property, R_t(D) is nonzero exactly when D fits in the first t
+cells of the reading order, that is when its entry position e(D) (_entry)
+is at most t, so the program reads a removal at t only when the smaller
+diagram's entry is at most t: every other removal adds zero.
 
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
@@ -212,6 +216,20 @@ def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _entry(rows) -> int:
+    """e(D): the fewest leading letters of the reading word that build D.
+
+    The first t letters build D exactly when D fits in the first t cells
+    of the staircase in reading order (the subword property), and its last
+    nonempty row R, of length d_R, ends at cell R(R-1)/2 + d_R.  The empty
+    diagram's entry is 0.
+    """
+    for r in range(len(rows), 0, -1):
+        if rows[r - 1]:
+            return r * (r - 1) // 2 + rows[r - 1]
+    return 0
+
+
 @lru_cache(maxsize=None)
 def _variables(n: int) -> tuple:
     """The variable of each packed field: q, then the coordinates in order."""
@@ -230,15 +248,23 @@ def _path_sums(n: int, targets) -> dict:
     """Packed restrictions of the target diagrams, keyed by diagram.
 
     Evaluates R_{t+1}(D) = R_t(D) + a_t * R_t(D minus box_t) on live diagrams
-    only: those that can still grow into a target.  The backward pass scans
-    each diagram once, when it becomes live, and files it under every label
-    it can lose, so the removals at position t are the diagrams filed under
-    t's label; each step records them and the diagrams they made live.  The
-    forward pass keeps each live diagram's packed keys and, per removal in
-    one loop, appends to a diagram the smaller one's keys shifted by t's
-    field; then it drops the diagrams made live at t, as t is the last
-    position that reads them.  Both passes cost in proportion to the
-    removals and the keys moved, not to positions times live diagrams.
+    only: those that some admissible subsequence building a target passes
+    through.  The backward pass scans each diagram once, when it becomes
+    live, and files it under every label it can lose, so the removals at
+    position t are the diagrams filed under t's label; each step records
+    them and the diagrams they made live.  A removal is filed with the
+    smaller diagram's entry e, and only while e is at most t: the first t
+    letters build no diagram of a later entry, so any other removal adds
+    zero.  A position drops the removals it reads whose e exceeds it; t
+    only falls, so no later position needs them.  Only the smaller
+    diagrams of the removals kept become live.  The forward pass
+    keeps each live diagram's packed keys and, per removal in one loop,
+    appends to a diagram the smaller one's keys shifted by t's field; then
+    it drops the diagrams made live at t, as t is the last position that
+    reads them.  Every removal kept finds its smaller diagram's keys, so a
+    missing one is a fault of the program and raises RuntimeError.  Both
+    passes cost in proportion to the removals and the keys moved, not to
+    positions times live diagrams.
 
     Nothing is staged: a diagram that loses t's label at cell (r, c) has no
     removable box of that label left, so no diagram written at t is read at
@@ -261,29 +287,34 @@ def _path_sums(n: int, targets) -> dict:
     live = set(targets)
     born = live
     steps = []
-    for label, _ in reversed(word):
-        # file what the later position made live (the targets, at first)
+    for t in reversed(range(len(word))):
+        # file what the later position made live (the targets, at first),
+        # under every label whose smaller diagram the first t letters build
         for rows in born:
             for lost, smaller in _shrunk(n, rows).items():
-                filed[lost].append((rows, smaller))
-        # a copy: diagrams made live later file under this label too
-        removals = filed[label][:]
-        born = {smaller for _, smaller in removals} - live
+                if (entry := _entry(smaller)) <= t:
+                    filed[lost].append((entry, rows, smaller))
+        # t only falls, so a removal dropped here is never read again;
+        # the copy keeps later filings under this label out of this step
+        label = word[t][0]
+        removals = [removal for removal in filed[label] if removal[0] <= t]
+        filed[label] = removals[:]
+        born = {smaller for _, _, smaller in removals} - live
         live |= born
         steps.append((removals, born))
     state = {empty_diagram(n): [0]}
     get = state.get
-    for shift, (removals, born) in zip(_position_bits(n), reversed(steps)):
-        for rows, smaller in removals:
+    for t, (shift, (removals, born)) in enumerate(zip(_position_bits(n), reversed(steps))):
+        for _, rows, smaller in removals:
             if (keys := get(smaller)) is None:
-                continue
+                raise RuntimeError(f"no path sum of {smaller} at position {t}")
             moved = [key + shift for key in keys]
             if (kept := get(rows)) is None:
                 state[rows] = moved
             else:
                 kept += moved
         for rows in born:
-            state.pop(rows, None)
+            del state[rows]
     table = {}
     for rows in targets:
         keys = state[rows]
@@ -358,9 +389,13 @@ def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
 
     Every Plücker variable is replaced by its restriction and the result is
     expanded exactly; polynomials already containing torus variables, or
-    Plücker variables that are not diagrams of rank n, are rejected.
+    Plücker variables that are not diagrams of rank n, are rejected.  An int
+    is a constant, as for the polynomial operators; any other operand
+    raises TypeError.
     """
-    (restricted,) = _restricted(n, [poly])
+    if (coerced := Polynomial._coerce(poly)) is None:
+        raise TypeError(f"cannot restrict a {type(poly).__name__}: not a polynomial or an int")
+    (restricted,) = _restricted(n, [coerced])
     return restricted
 
 

@@ -411,6 +411,98 @@ def test_path_sums_refuse_a_repeated_monomial(monkeypatch):
         _path_sums(3, [(1, 1, 0)])
 
 
+# Entries one early (e - 1) need no test: that mutant is equivalent.  It
+# would also keep a removal D -> D' at t with e(D') = t + 1, but then the
+# last cell of D' sits at position t and carries t's label, and a last cell
+# is always removable, while D' has just lost its box of that label:
+# test_a_removed_label_is_not_removable_again shows no label is removable
+# twice, so no such removal exists.
+@pytest.mark.parametrize(
+    "mutant",
+    (lambda entry, rows: 0, lambda entry, rows: entry(rows) + 1),
+    ids=("no pruning", "one late"),
+)
+@pytest.mark.parametrize("n", range(3, 6))
+def test_path_sums_refuse_a_missing_smaller_sum(n, mutant, monkeypatch):
+    # no pruning files removals before their smaller diagram has a sum;
+    # entries one late drop the removals that build it
+    monkeypatch.setattr(torus, "_entry", functools.partial(mutant, torus._entry))
+    with pytest.raises(RuntimeError, match=r"^no path sum of \(.*\) at position \d+$"):
+        restrict_all(n)
+
+
+def _prefix_diagram(n, t):
+    """The diagram of the first t staircase cells in reading order."""
+    return tuple(min(r, max(0, t - r * (r - 1) // 2)) for r in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_entry_matches_its_recursive_definition(n):
+    # e(D) is the fewest leading letters that build D: through its cheapest
+    # last box, the first letter of that label at or after the entry of D
+    # without it
+    labels = [label for label, _ in reduced_word(n)]
+
+    @functools.cache
+    def entry(rows):
+        return min(
+            (
+                1 + labels.index(label, entry(smaller))
+                for label, smaller in diagrams._shrunk(n, rows).items()
+                if label in labels[entry(smaller):]
+            ),
+            default=0,
+        )
+
+    for rows in all_diagrams(n):
+        assert torus._entry(rows) == entry(rows), rows
+        if n <= 9:
+            for t in range(len(labels) + 1):
+                fits = all(c <= p for c, p in zip(rows, _prefix_diagram(n, t)))
+                assert (torus._entry(rows) <= t) == fits, (rows, t)
+
+
+def _build_paths(n):
+    """Per diagram, the nonempty diagrams that some admissible subsequence
+    building it passes through: by subset enumeration."""
+    word = reduced_word(n)
+    paths = {}
+    for mask in range(2 ** len(word)):
+        rows = diagrams.empty_diagram(n)
+        passed = []
+        for t, (label, _) in enumerate(word):
+            if mask >> t & 1:
+                if (rows := diagrams.add_box(n, rows, label)) is None:
+                    break
+                passed.append(rows)
+        else:
+            paths.setdefault(rows, set()).update(passed)
+    return paths
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_path_sums_scan_exactly_the_diagrams_on_build_paths(n, monkeypatch):
+    scanned = []
+    shrunk = torus._shrunk
+
+    def recording_shrunk(rank, rows):
+        scanned.append(rows)
+        return shrunk(rank, rows)
+
+    monkeypatch.setattr(torus, "_shrunk", recording_shrunk)
+    for target, passed in _build_paths(n).items():
+        scanned.clear()
+        _path_sums(n, (target,))
+        assert sorted(filter(any, scanned)) == sorted(passed), target
+
+
+def test_restrict_polynomial_takes_an_int_and_refuses_other_operands():
+    assert restrict_polynomial(3, 5) == 5
+    assert restrict_polynomial(3, 0) == 0
+    with pytest.raises(TypeError, match=r"^cannot restrict a float: not a polynomial or an int$"):
+        restrict_polynomial(3, 1.5)
+
+
 @pytest.mark.parametrize(
     "call",
     (
