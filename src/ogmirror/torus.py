@@ -1,7 +1,9 @@
 """Restriction of Plücker variables and potential terms to the torus chart.
 
 The torus chart carries one coordinate a[label, column] per staircase box,
-ordered by reading the boxes row by row, left to right (the reduced word).
+ordered by the reduced word: the boxes read row by row, left to right.
+reduced_word is the only statement of that order here; every other function
+reads it from there, so any linear extension of the cells runs unchanged.
 The restriction of a Plücker variable p_D sums, over the admissible
 subsequences of the word that build D, the product of the coordinates used.
 With a_t the coordinate at word position t and R_t(D) that sum over the
@@ -13,10 +15,10 @@ the second summand counting only when that box is removable from D.  Only
 that summand uses a_t, so the two share no monomial: each R_t(D) is a
 disjoint union of coefficient-1 monomials, one per admissible subsequence.
 _path_sums evaluates this for a set of target diagrams and only those.  By
-the subword property, R_t(D) is nonzero exactly when D fits in the first t
-cells of the reading order, that is when its entry position e(D) (_entry)
-is at most t, so the program reads a removal at t only when the smaller
-diagram's entry is at most t: every other removal adds zero.
+the subword property, R_t(D) is nonzero exactly when all of D's cells sit
+among the first t word positions, that is when its entry position e(D)
+(_entry) is at most t, so the program reads a removal at t only when the
+smaller diagram's entry is at most t: every other removal adds zero.
 
 Packed exponents.  Every coordinate a[label, column] sits at exactly one
 word position, so the whole torus side works on packed polynomials in q
@@ -41,7 +43,7 @@ import json
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import compress, cycle, product
-from operator import or_
+from operator import getitem, or_
 
 from .diagrams import (
     _label_table,
@@ -51,6 +53,7 @@ from .diagrams import (
     check_rank,
     diagram,
     empty_diagram,
+    full_columns,
     staircase,
     staircase_prefix,
 )
@@ -210,24 +213,35 @@ class _Packed(Polynomial):
 
 
 def reduced_word(n: int) -> tuple[tuple[int, int], ...]:
-    """(label, column) pairs of the staircase boxes in reading order."""
+    """(label, column) pairs of the staircase boxes in reading order.
+
+    The one statement of the chart's order.  Any other linear extension of
+    the cells, each cell after the cell above it and the cell to its left,
+    is a reduced word too; the tests swap such words in here.
+    """
     return tuple(
         (label, c) for row in _label_table(n) for c, label in enumerate(row, 1)
     )
 
 
-def _entry(rows) -> int:
-    """e(D): the fewest leading letters of the reading word that build D.
+@lru_cache(maxsize=None)
+def _row_ends(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per row, at index d, the entry of its first d cells alone: one past
+    the word position of its d-th cell, and 0 for d = 0."""
+    positions = {box: t for t, box in enumerate(reduced_word(n), 1)}
+    cells = [[(label, c) for c, label in enumerate(row, 1)] for row in _label_table(n)]
+    return tuple((0, *map(positions.get, row)) for row in cells)
 
-    The first t letters build D exactly when D fits in the first t cells
-    of the staircase in reading order (the subword property), and its last
-    nonempty row R, of length d_R, ends at cell R(R-1)/2 + d_R.  The empty
-    diagram's entry is 0.
+
+def _entry(rows) -> int:
+    """e(D): the fewest leading letters of the reduced word that build D.
+
+    The first t letters build D exactly when D's cells all sit among the
+    first t word positions (the subword property), so e(D) is one past the
+    last word position among D's cells, and 0 for the empty diagram.  A cell
+    comes after the cell to its left, so that last cell ends a row.
     """
-    for r in range(len(rows), 0, -1):
-        if rows[r - 1]:
-            return r * (r - 1) // 2 + rows[r - 1]
-    return 0
+    return max(map(getitem, _row_ends(len(rows)), rows))
 
 
 @lru_cache(maxsize=None)
@@ -402,28 +416,26 @@ def restrict_polynomial(n: int, poly: Polynomial) -> Polynomial:
 def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
     """Closed-form monomial the restricted i-th denominator must equal.
 
-    Writing ell_k = k(k+1)/2 for the number of boxes in the first k rows:
-    index 0 gives 1, index 1 the product over column-1 positions, index n
-    the product over the first ell_{n-1} positions, index n+1 the product
-    over all positions, and a middle index i the product over the first
-    ell_{i-1} positions times the product over positions with column <= i.
+    It is the product of the coordinates of the cells of term i's seed
+    diagrams: none for index 0, staircase_prefix(n, i-1) and full_columns(n, i)
+    for 0 < i < n, where a cell of both counts twice, staircase_prefix(n, n-1)
+    for index n and the staircase for index n+1.
     """
     check_rank(n)
     check_index("term index", i, 0, n + 1)
-    word = reduced_word(n)
     if i == 0:
-        positions = []
+        seeds = []
     elif i == n:
-        positions = range((n - 1) * n // 2)
+        seeds = [staircase_prefix(n, n - 1)]
     elif i == n + 1:
-        positions = range(len(word))
-    else:  # also index 1, whose first ell_0 = 0 positions add nothing
-        positions = [*range((i - 1) * i // 2)]
-        positions += [t for t in range(len(word)) if word[t][1] <= i]
-    # a middle index reads the positions of the first rows twice
-    uses = Counter(positions)
+        seeds = [staircase(n)]
+    else:
+        seeds = [staircase_prefix(n, i - 1), full_columns(n, i)]
+    uses = Counter(
+        end for seed in seeds for ends, d in zip(_row_ends(n), seed) for end in ends[1 : d + 1]
+    )
     bits = _position_bits(n)
-    key = sum(bits[t] * count for t, count in uses.items())
+    key = sum(bits[end - 1] * count for end, count in uses.items())
     return _Packed(n, {key: 1}, max(uses.values(), default=0))
 
 

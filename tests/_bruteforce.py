@@ -4,16 +4,24 @@ Used to cross-check the forward dynamic program: walk ALL subsets of word
 positions explicitly, with no shared state between subsets and no dynamic
 program, and bucket each admissible build sequence under the diagram it
 produces.  Exponential in the word length, so only usable for small ranks.
+It reads torus.reduced_word at call time, so a test that swaps the chart
+for another reduced word checks the dynamic program on that word.
+
+The other reduced words are the linear extensions of the staircase cells,
+each cell after the cell above it and the cell to its left: column_cells
+and random_cells give such orders and chart_word spells one as a word.
 """
 
+import random
+
+from ogmirror import torus
 from ogmirror.diagrams import add_box, all_diagrams, empty_diagram
 from ogmirror.polynomials import Polynomial, torus_var
-from ogmirror.torus import reduced_word
 
 
 def enumerate_restrictions(n):
     """Restriction of every diagram for rank n, keyed by diagram."""
-    word = reduced_word(n)
+    word = torus.reduced_word(n)
     table = {rows: Polynomial.zero() for rows in all_diagrams(n)}
     for mask in range(2 ** len(word)):
         rows = empty_diagram(n)
@@ -37,6 +45,36 @@ def _cell_label(n, r, c):
     if c < r:
         return n - r + c
     return n + 1 if r % 2 == 1 else n
+
+
+def column_cells(n):
+    """The staircase cells (row, column) column by column, top to bottom."""
+    return [(r, c) for c in range(1, n + 1) for r in range(c, n + 1)]
+
+
+def random_cells(n, seed):
+    """A seeded random linear extension of the staircase cells (row, column):
+    each step picks uniformly among the cells whose upper and left
+    neighbours, where the staircase has them, are already placed."""
+    rng = random.Random(seed)
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, r + 1)]
+    order = []
+    while len(order) < len(cells):
+        ready = [
+            (r, c)
+            for r, c in cells
+            if (r, c) not in order
+            and (c == r or (r - 1, c) in order)
+            and (c == 1 or (r, c - 1) in order)
+        ]
+        order.append(rng.choice(ready))
+    return order
+
+
+def chart_word(n, cells):
+    """The reduced word that reads the staircase cells in this order: the
+    (label, column) pair of each cell."""
+    return tuple((_cell_label(n, r, c), c) for r, c in cells)
 
 
 def subsequence_count(n, target):

@@ -564,6 +564,38 @@ def test_failure_detail_is_bounded():
         assert len(result.detail) < len(str(residual)) // 4
 
 
+def test_a_residual_of_exactly_detail_terms_terms_is_shown_whole():
+    residual = sum((Polynomial.variable(torus_var(1, c)) for c in (1, 2, 3)), Polynomial.zero())
+    assert residual.term_count() == DETAIL_TERMS
+    result = checks._restriction("term_restriction", 4, 1, residual)
+    assert (result.passed, result.detail) == (
+        False,
+        "residual has 3 terms, first 3: a[1,1] + a[1,2] + a[1,3]",
+    )
+
+
+def test_numerator_seed_names_the_level_it_read():
+    levels = ((((1, 0, 0, 0), (1, 1, 1, 1)),),)
+    result = checks._numerator_seed(4, 2, levels)
+    assert (result.passed, result.detail) == (
+        False,
+        "level 0 is (((1, 0, 0, 0), (1, 1, 1, 1)),)",
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_battery_runs_its_checks_in_the_documented_order(n):
+    expected = [("diagram_count", None), ("unique_positions", None)]
+    for i in range(2, n):
+        expected += [("pair_recursion", i), ("numerator_seed", i)]
+    expected += [("derivation_identity", i) for i in range(n + 1)]
+    expected.append(("degree_sum", None))
+    expected += [("denominator_restriction", i) for i in range(n + 2)]
+    expected += [("term_restriction", i) for i in range(n + 1)]
+    expected.append(("laurent_assembly", None))
+    assert [(result.name, result.index) for result in run_checks(n)] == expected
+
+
 def test_run_checks_still_reports_every_restriction_check():
     names = [result.name for result in run_checks(4)]
     assert names.count("denominator_restriction") == 6

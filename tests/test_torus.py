@@ -7,7 +7,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from _bruteforce import enumerate_restrictions, subsequence_count
+from _bruteforce import (
+    chart_word,
+    column_cells,
+    enumerate_restrictions,
+    random_cells,
+    subsequence_count,
+)
 from _polynomial_reference import (
     reference_laurent,
     reference_restrict,
@@ -436,12 +442,11 @@ def _prefix_diagram(n, t):
     return tuple(min(r, max(0, t - r * (r - 1) // 2)) for r in range(1, n + 1))
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_entry_matches_its_recursive_definition(n):
-    # e(D) is the fewest leading letters that build D: through its cheapest
-    # last box, the first letter of that label at or after the entry of D
-    # without it
-    labels = [label for label, _ in reduced_word(n)]
+def _recursive_entry(n):
+    """e(D) as the fewest leading letters of the chart's word that build D:
+    through its cheapest last box, the first letter of that label at or
+    after the entry of D without it."""
+    labels = [label for label, _ in torus.reduced_word(n)]
 
     @functools.cache
     def entry(rows):
@@ -454,18 +459,24 @@ def test_entry_matches_its_recursive_definition(n):
             default=0,
         )
 
+    return entry
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_entry_matches_its_recursive_definition(n):
+    entry = _recursive_entry(n)
     for rows in all_diagrams(n):
         assert torus._entry(rows) == entry(rows), rows
         if n <= 9:
-            for t in range(len(labels) + 1):
+            for t in range(len(reduced_word(n)) + 1):
                 fits = all(c <= p for c, p in zip(rows, _prefix_diagram(n, t)))
                 assert (torus._entry(rows) <= t) == fits, (rows, t)
 
 
 def _build_paths(n):
     """Per diagram, the nonempty diagrams that some admissible subsequence
-    building it passes through: by subset enumeration."""
-    word = reduced_word(n)
+    building it passes through: by subset enumeration of the chart's word."""
+    word = torus.reduced_word(n)
     paths = {}
     for mask in range(2 ** len(word)):
         rows = diagrams.empty_diagram(n)
@@ -494,6 +505,59 @@ def test_path_sums_scan_exactly_the_diagrams_on_build_paths(n, monkeypatch):
         scanned.clear()
         _path_sums(n, (target,))
         assert sorted(filter(any, scanned)) == sorted(passed), target
+
+
+# The restriction identities hold on the chart of every reduced word, not
+# only the row reading word: the reduced words are the linear extensions of
+# the staircase cells, and identities between regular functions on the open
+# cell do not depend on the chart.  Another word runs the dynamic program,
+# its pruning and the packed layout on other positions, and the denominator
+# prediction must hold there with no position arithmetic.  The swap patches
+# torus.reduced_word; monkeypatch clears no cache, so the fixture clears the
+# caches that read the word on both sides of the swap.
+_CHARTS = {
+    "row": None,
+    "column": column_cells,
+    **{f"random {seed}": functools.partial(random_cells, seed=seed) for seed in range(3)},
+}
+_WORD_CACHES = (torus._variables, torus._position_bits, torus._row_ends)
+
+
+@pytest.fixture(params=list(_CHARTS))
+def chart(request, monkeypatch):
+    """Restrict on the reduced word that reads the cells in one order; "row"
+    keeps the shipped reading word."""
+    cells = _CHARTS[request.param]
+    for cached in _WORD_CACHES:
+        cached.cache_clear()
+    if cells is not None:
+        monkeypatch.setattr(torus, "reduced_word", lambda n: chart_word(n, cells(n)))
+    yield request.param
+    monkeypatch.undo()
+    for cached in _WORD_CACHES:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_restriction_identities_hold_on_every_chart(chart, n):
+    word = torus.reduced_word(n)
+    assert sorted(word) == sorted(reduced_word(n))
+    # below rank 4 some of these orders are the row order
+    assert n < 4 or (word == reduced_word(n)) == (chart == "row")
+    denominator_residuals, term_residuals, holds = restriction_residuals(
+        n, superpotential(n)
+    )
+    assert holds and not any(denominator_residuals) and not any(term_residuals)
+    entry = _recursive_entry(n)
+    for rows in all_diagrams(n):
+        assert torus._entry(rows) == entry(rows), rows
+
+
+@pytest.mark.parametrize("chart", ("column", "random 0"), indirect=True)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_path_sums_match_bruteforce_on_other_charts(chart, n, monkeypatch):
+    assert restrict_all(n) == enumerate_restrictions(n)
+    test_path_sums_scan_exactly_the_diagrams_on_build_paths(n, monkeypatch)
 
 
 def test_restrict_polynomial_takes_an_int_and_refuses_other_operands():
@@ -733,6 +797,33 @@ def test_packed_restrictions_carry_field_bound():
         assert packed.bound == (1 if any(rows) else 0)
         assert _largest_exponent(packed) == packed.bound
         assert packed.term_count() == restrict_plucker(5, rows).term_count()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_packed_bounds_equal_the_largest_field(n):
+    # a restricted product's bound is a sum of factor bounds and may exceed
+    # its largest field, so only single restrictions and closed forms here
+    for rows in all_diagrams(n):
+        packed = restrict_plucker(n, rows)
+        assert packed.bound == _largest_exponent(packed), rows
+    for i in range(n + 1):
+        factor = term_restriction_factor(n, i)
+        assert factor.bound == _largest_exponent(factor) == 1
+    # seeds sharing cells: staircase_prefix(n, i - 1) and full_columns(n, i)
+    # share every cell of the first i - 1 rows for every middle i >= 2
+    bounds = [0, 1] + [2] * (n - 2) + [1, 1]
+    for i, bound in enumerate(bounds):
+        predicted = predicted_denominator_restriction(n, i)
+        assert predicted.bound == _largest_exponent(predicted) == bound, i
+    total = coordinate_sum(n)
+    assert total.bound == _largest_exponent(total) == 1
+
+
+def test_packed_key_past_the_last_field_names_the_key():
+    # rank 2 has four fields, q and three coordinates: bit 32 is past them
+    with pytest.raises(ValueError) as raised:
+        _Packed(2, {1 << 32: 1}, 1).to_text()
+    assert str(raised.value) == "packed key 0x100000000 runs past the last field"
 
 
 @pytest.mark.parametrize("n", range(2, 10))
