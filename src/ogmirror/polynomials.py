@@ -38,22 +38,29 @@ Monomial = tuple
 QUANTUM: Variable = (_QUANTUM_KIND,)
 
 
+def _indices(values, what: str) -> tuple:
+    """The indices of a variable as plain ints, a bool becoming its int.
+
+    Any other entry, a float say, raises ValueError naming what they index,
+    so equal indices spelt with floats or bools can never stand for a second
+    variable: the one statement of that rule for both indexed kinds.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be ints, got {values!r}") from None
+
+
 def torus_var(i: int, j: int) -> Variable:
-    """The torus coordinate a[i,j]."""
-    return (_TORUS_KIND, i, j)
+    """The torus coordinate a[i,j], its indices stored as plain ints (see
+    _indices): a[True,1] is a[1,1] and a[1.0,1] raises ValueError."""
+    return (_TORUS_KIND, *_indices((i, j), "torus indices"))
 
 
 def plucker_var(rows) -> Variable:
-    """The Plücker variable indexed by a (canonical) diagram row vector.
-
-    Its rows are plain ints, a bool becoming its int; a row that is not an
-    int raises ValueError, so equal rows spelt with floats or bools can
-    never stand for a second variable of one diagram.
-    """
-    try:
-        return (_PLUCKER_KIND, tuple(map(index, rows)))
-    except TypeError:
-        raise ValueError(f"Plücker rows must be ints, got {rows!r}") from None
+    """The Plücker variable indexed by a (canonical) diagram row vector,
+    its rows stored as plain ints (see _indices)."""
+    return (_PLUCKER_KIND, _indices(rows, "Plücker rows"))
 
 
 def is_quantum(var: Variable) -> bool:

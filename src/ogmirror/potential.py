@@ -21,7 +21,6 @@ once, however many terms it occurs in; the JSON text is written directly.
 """
 
 import json
-from collections import Counter
 from functools import cache, lru_cache
 from typing import NamedTuple
 
@@ -30,7 +29,6 @@ from .diagrams import (
     StructuralError,
     _grown,
     _shrunk,
-    add_box,
     add_unique_box,
     check_index,
     check_rank,
@@ -149,7 +147,8 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
     A variable p_τ maps to p of τ with the box added when that addition is
     valid and to 0 otherwise; products follow the Leibniz rule and the whole
     map is linear.  Only polynomials in Plücker variables indexed by
-    full-length rank-n diagrams are accepted.
+    full-length rank-n diagrams are accepted; check_plucker validates each
+    variable once, so the grown diagram is read straight off _grown.
     """
     check_rank(n)
     check_index("derivation index", i, 0, n)
@@ -164,11 +163,12 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
                         f" variables only, found {variable_name(var)}"
                     )
                 check_plucker(n, var[1])
-                grown = add_box(n, var[1], label)
+                grown = _grown(n, var[1]).get(label)
                 if grown is not None:
-                    exps = Counter(dict(mono))
+                    exps = dict(mono)
                     exps[var] -= 1
-                    exps[plucker_var(grown)] += 1
+                    image = plucker_var(grown)
+                    exps[image] = exps.get(image, 0) + 1
                     yield coeff * exp, exps
 
     return Polynomial(leibniz_terms())

@@ -246,16 +246,19 @@ def _entry(rows) -> int:
 
 @lru_cache(maxsize=None)
 def _variables(n: int) -> tuple:
-    """The variable of each packed field: q, then the coordinates in order."""
+    """The variable of each packed field, the one statement of the field
+    order: field 0 holds q and field k the k-th coordinate in (label,
+    column) order.  It reads the sorted cells, which are the same for every
+    reduced word, so it does not depend on which word is read."""
     return (QUANTUM,) + tuple(torus_var(*box) for box in sorted(reduced_word(n)))
 
 
 @lru_cache(maxsize=None)
 def _position_bits(n: int) -> tuple[int, ...]:
-    """The packed monomial of the coordinate at each word position."""
-    word = reduced_word(n)
-    field = {box: k for k, box in enumerate(sorted(word), 1)}
-    return tuple(1 << _FIELD_BITS * field[box] for box in word)
+    """The packed monomial of the coordinate at each word position: a 1 in
+    the field _variables gives that coordinate."""
+    field = {var: k for k, var in enumerate(_variables(n))}
+    return tuple(1 << _FIELD_BITS * field[torus_var(*box)] for box in reduced_word(n))
 
 
 def _path_sums(n: int, targets) -> dict:

@@ -20,6 +20,7 @@ from ogmirror.diagrams import (
     empty_diagram,
     format_diagram,
     full_columns,
+    hasse_dot,
     hasse_edges,
     is_valid,
     parse_diagram,
@@ -351,6 +352,8 @@ def test_label_addable_twice_is_a_structural_error(monkeypatch):
         box_moves(4, ((1, 2, 2, 0), rows))
     with pytest.raises(StructuralError):
         hasse_edges(4)
+    with pytest.raises(StructuralError, match=r"^label 3 is addable twice in \(1, 2, 1, 0\)$"):
+        list(hasse_dot(4))
     _assert_hasse_fails(4)
     result = checks._unique_positions(4)
     assert not result.passed
@@ -380,6 +383,8 @@ def test_label_removable_twice_is_a_structural_error(monkeypatch):
     # (1,1,0,0) now accepts label 4 at (2,2) and at (3,1)
     with pytest.raises(StructuralError):
         hasse_edges(4)
+    with pytest.raises(StructuralError, match=r"^label 4 is addable twice in \(1, 1, 0, 0\)$"):
+        list(hasse_dot(4))
     _assert_hasse_fails(4)
     result = checks._unique_positions(4)
     assert not result.passed

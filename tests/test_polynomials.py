@@ -49,6 +49,22 @@ def test_plucker_rows_have_one_spelling():
     assert plucker_var(row for row in (1, 0)) == plucker_var([1, 0])
 
 
+def test_torus_indices_have_one_spelling():
+    """Torus coordinates keep the Plücker rows' rule: a bool index becomes its
+    int and any other non-int raises, so two spellings of a[1,1] add to one
+    variable that renders alike in either operand order."""
+    var = torus_var(True, 1)
+    assert var == torus_var(1, 1)
+    assert [type(i) for i in var[1:]] == [int, int]
+    assert variable_name(var) == "a[1,1]"
+    for total in (a(True, 1) + a(1, 1), a(1, 1) + a(True, 1)):
+        assert total.to_text() == "2*a[1,1]"
+    for indices in ((1.0, 1), (1, 1.0), (1, "1"), (None, 1)):
+        message = re.escape(f"torus indices must be ints, got {indices!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            torus_var(*indices)
+
+
 def test_variable_latex():
     assert variable_latex(QUANTUM) == "q"
     assert variable_latex(torus_var(3, 2)) == "a_{3,2}"

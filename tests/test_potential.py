@@ -194,6 +194,42 @@ def test_signed_pair_sum_matches_exponent_counters_on_cancellation_and_squares()
     assert total == 2 * p(*other) ** 2 + p(*high) * p(*other)
 
 
+def _reference_derivation(n, i, poly):
+    """The derivation as a Leibniz rule over the public add_box, which
+    validates every variable and label it reads: the oracle for
+    box_derivation, which validates each variable once."""
+    label = n + 1 - i
+    terms = []
+    for mono, coeff in poly.sorted_terms():
+        for var, exp in mono:
+            grown = add_box(n, var[1], label)
+            if grown is not None:
+                exps = Counter(dict(mono))
+                exps[var] -= 1
+                exps[plucker_var(grown)] += 1
+                terms.append((coeff * exp, exps))
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_box_derivation_matches_a_leibniz_rule_over_add_box(n):
+    for term in superpotential(n):
+        for i in range(n + 1):
+            derived = box_derivation(n, i, term.denominator)
+            assert derived == _reference_derivation(n, i, term.denominator), (term.index, i)
+
+
+def test_box_derivation_matches_the_reference_on_squares_and_bool_rows():
+    # a raw variable with bool rows, not built by plucker_var, still has its
+    # image spelt with ints
+    raw = Polynomial.variable((plucker_var(())[0], (True, True, False, False)))
+    cases = (p(1, 1, 0, 0) ** 2 * p(1, 2, 0, 0), raw, raw**2 * p(1, 2, 0, 0) - 3 * raw)
+    for poly in cases:
+        for i in range(5):
+            assert box_derivation(4, i, poly) == _reference_derivation(4, i, poly), i
+    assert box_derivation(4, 3, raw).to_text() == "p[1,1,1,0]"
+
+
 def test_box_derivation_on_middle_denominator():
     phi = p(1, 2, 0, 0) * p(1, 2, 3, 3) - p(1, 1, 0, 0) * p(1, 2, 3, 4)
     expected = p(1, 2, 1, 0) * p(1, 2, 3, 3) - p(1, 1, 1, 0) * p(1, 2, 3, 4)

@@ -520,7 +520,9 @@ _CHARTS = {
     "column": column_cells,
     **{f"random {seed}": functools.partial(random_cells, seed=seed) for seed in range(3)},
 }
-_WORD_CACHES = (torus._variables, torus._position_bits, torus._row_ends)
+# the tables that read the word's order; torus._variables reads only the
+# sorted cells, which are the same for every reduced word
+_WORD_CACHES = (torus._position_bits, torus._row_ends)
 
 
 @pytest.fixture(params=list(_CHARTS))
@@ -551,6 +553,16 @@ def test_restriction_identities_hold_on_every_chart(chart, n):
     entry = _recursive_entry(n)
     for rows in all_diagrams(n):
         assert torus._entry(rows) == entry(rows), rows
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_position_bits_read_the_field_layout_on_every_chart(chart, n):
+    # each position's bit sits in its coordinate's field of the test's own
+    # layout, whichever reduced word is read
+    word = torus.reduced_word(n)
+    assert torus._position_bits(n) == tuple(
+        1 << 8 * _field_variables(n).index(torus_var(*box)) for box in word
+    )
 
 
 @pytest.mark.parametrize("chart", ("column", "random 0"), indirect=True)
@@ -817,6 +829,10 @@ def test_packed_bounds_equal_the_largest_field(n):
         assert predicted.bound == _largest_exponent(predicted) == bound, i
     total = coordinate_sum(n)
     assert total.bound == _largest_exponent(total) == 1
+    # the packed zero that _quotient_sum starts from: 0 over the constant 1
+    zero = torus._quotient_sum(n, [])
+    assert (zero.numerator.terms, zero.numerator.bound) == ({}, 0)
+    assert (zero.denominator.terms, zero.denominator.bound) == ({0: 1}, 0)
 
 
 def test_packed_key_past_the_last_field_names_the_key():
