@@ -30,11 +30,10 @@ from .diagrams import (
     all_diagrams,
     box_count,
     check_rank,
-    full_columns,
-    staircase_prefix,
 )
 from .polynomials import Polynomial
 from .potential import (
+    _term_seeds,
     box_derivation,
     denominator_pair_levels,
     numerator_pair_levels,
@@ -91,8 +90,7 @@ def _pair_recursion(n, i, denominator_levels):
     issues = []
     if len(denominator_levels) > bound:
         issues.append(f"{len(denominator_levels)} levels exceed bound {bound}")
-    first_boxes = box_count(staircase_prefix(n, i - 1))
-    second_boxes = box_count(full_columns(n, i))
+    first_boxes, second_boxes = map(box_count, _term_seeds(n, i))
     for j, level in enumerate(denominator_levels):
         if not level:
             issues.append(f"empty level {j}")
@@ -105,7 +103,8 @@ def _pair_recursion(n, i, denominator_levels):
 
 
 def _numerator_seed(n, i, numerator_levels):
-    expected = ((add_unique_box(n, staircase_prefix(n, i - 1)), full_columns(n, i)),)
+    first, second = _term_seeds(n, i)
+    expected = ((add_unique_box(n, first), second),)
     ok = numerator_levels[0] == expected
     return CheckResult(
         "numerator_seed", n, i, ok, "" if ok else f"level 0 is {numerator_levels[0]}"

@@ -3,8 +3,9 @@
 Subcommands: diagrams, potential, restrict, verify, hasse.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success (all checks pass),
 1 verification failure, a reader that closed stdout early or Ctrl-C,
-2 usage or parse error, or out of memory.  All output is deterministic:
-identical invocations produce byte-identical bytes.
+2 usage or parse error, or out of memory, a rank too large to index
+included.  All output is deterministic: identical invocations produce
+byte-identical bytes.
 
 The front end uses the standard library alone.  `main(args, prog_name)`
 parses one command line with argparse and runs one command; `main.commands`
@@ -247,7 +248,11 @@ def _run(command, params, parser):
     """Call the command's current callback; out of memory is one line and exit 2."""
     try:
         command.callback(**params)
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # A rank past the machine's index size cannot size its first tuple or
+        # range and raises OverflowError, which is running out of memory too.
+        # Nothing else raises it here: the battery reports a packed field's
+        # OverflowError as failed checks.
         pass  # report once the handler has let go of the frames holding memory
     except UsageError as err:
         parser.error(str(err))

@@ -138,7 +138,7 @@ def full_columns(n: int, i: int) -> Diagram:
     """The diagram whose first i columns are filled to the staircase boundary."""
     check_rank(n)
     check_index("column count", i, 1, n)
-    return tuple(min(r, i) for r in range(1, n + 1))
+    return tuple(min(r, int(i)) for r in range(1, n + 1))  # a bool i counts as its int
 
 
 def _addable_cells(n: int, rows: Diagram) -> list[tuple[int, int, int]]:

@@ -67,27 +67,47 @@ def plucker_poly(rows) -> Polynomial:
     return Polynomial.variable(plucker_var(rows))
 
 
+def _term_seeds(n: int, i: int) -> tuple:
+    """The seed diagrams of the i-th term, 0 <= i <= n+1, with plain ints.
+
+    Each boundary index has one seed: the empty diagram for 0, the first
+    column for 1, the row-prefix n-1 for n and the staircase for n+1.  A
+    middle index 2 <= i <= n-1 has the pair (row-prefix i-1, column-fill i)
+    where its box-moving recursion starts.  This is the one statement of
+    the seeds: the terms, the battery's pair and seed checks and the
+    predicted denominator restrictions all read it.
+    """
+    check_rank(n)
+    check_index("term index", i, 0, n + 1)
+    if 2 <= i <= n - 1:
+        return staircase_prefix(n, i - 1), full_columns(n, i)
+    if i <= 1:
+        return (full_columns(n, 1) if i else empty_diagram(n),)
+    return (staircase_prefix(n, n - 1) if i == n else staircase(n),)
+
+
 @lru_cache(maxsize=None, typed=True)
 def _pair_levels(n: int, i: int) -> tuple[tuple, tuple]:
     """The denominator levels of the i-th middle term and their promotions.
 
-    Level 0 holds the single pair (row-prefix i-1, column-fill i); level j+1
-    holds every pair reached from level j by moving one box from the first
-    diagram to the second.  The recursion stops at the first empty level,
-    which happens within binomial(i, 2) + 1 levels because the first
-    component loses a box per move.  Promoting a level adds a box labeled
-    n+1-i to whichever component of each pair accepts it; pairs where
-    neither component accepts contribute nothing, and both components
-    accepting is a structural fault.  One removable scan of the first
-    component and one addable scan of each component serve both the moves
-    and the promotion.  Every diagram the recursion reads is one it built
-    from valid diagrams, so it scans them without re-validating them.
+    Level 0 holds the single pair _term_seeds(n, i), that is (row-prefix
+    i-1, column-fill i); level j+1 holds every pair reached from level j by
+    moving one box from the first diagram to the second.  The recursion
+    stops at the first empty level, which happens within binomial(i, 2) + 1
+    levels because the first component loses a box per move.  Promoting a
+    level adds a box labeled n+1-i to whichever component of each pair
+    accepts it; pairs where neither component accepts contribute nothing,
+    and both components accepting is a structural fault.  One removable scan
+    of the first component and one addable scan of each component serve both
+    the moves and the promotion.  Every diagram the recursion reads is one
+    it built from valid diagrams, so it scans them without re-validating
+    them.
     """
     check_rank(n)
     check_index("middle term index", i, 2, n - 1)
     label = n + 1 - i
     denominator, numerator = [], []
-    level = ((staircase_prefix(n, i - 1), full_columns(n, i)),)
+    level = (_term_seeds(n, i),)
     while level:
         moved, promoted = set(), set()
         for first, second in level:
@@ -148,14 +168,20 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
     valid and to 0 otherwise; products follow the Leibniz rule and the whole
     map is linear.  Only polynomials in Plücker variables indexed by
     full-length rank-n diagrams are accepted; check_plucker validates each
-    variable once, so the grown diagram is read straight off _grown.
+    variable once, so the grown diagram is read straight off _grown.  An int
+    is a constant, as for the polynomial operators, so its derivation is 0;
+    any other operand raises TypeError.
     """
     check_rank(n)
     check_index("derivation index", i, 0, n)
+    if (coerced := Polynomial._coerce(poly)) is None:
+        raise TypeError(
+            f"cannot differentiate a {type(poly).__name__}: not a polynomial or an int"
+        )
     label = n + 1 - i
 
     def leibniz_terms():
-        for mono, coeff in poly.sorted_terms():
+        for mono, coeff in coerced.sorted_terms():
             for var, exp in mono:
                 if not is_plucker(var):
                     raise ValueError(
@@ -175,32 +201,24 @@ def box_derivation(n: int, i: int, poly: Polynomial) -> Polynomial:
 
 
 def potential_term(n: int, i: int) -> SuperpotentialTerm:
-    """The i-th superpotential summand, 0 <= i <= n+1.
+    """The i-th superpotential summand, 0 <= i <= n+1, grown from its seeds.
 
-    Terms 0, 1 and n are a base diagram's variable under the variable of
-    that base with its unique addable box added.
+    A middle term is the quotient of the signed sums over its promoted and
+    its denominator pair levels (see _pair_levels).  Every other term has
+    one seed and that seed's variable as its denominator: the quantum term
+    n+1 has q * p[row-prefix n-2] as its numerator, and terms 0, 1 and n the
+    variable of the seed with its unique addable box added.
     """
-    check_rank(n)
-    check_index("term index", i, 0, n + 1)
+    seeds = _term_seeds(n, i)
     i = int(i)  # a bool index is stored as its int
-    bases = {0: empty_diagram(n), 1: full_columns(n, 1), n: staircase_prefix(n, n - 1)}
-    if i in bases:
-        base = bases[i]
-        return SuperpotentialTerm(
-            i, plucker_poly(add_unique_box(n, base)), plucker_poly(base)
-        )
+    if len(seeds) == 2:
+        levels = numerator_pair_levels(n, i), denominator_pair_levels(n, i)
+        return SuperpotentialTerm(i, *map(signed_pair_sum, levels))
+    (seed,) = seeds
     if i == n + 1:
-        numerator = Polynomial.variable(QUANTUM) * plucker_poly(
-            staircase_prefix(n, n - 2)
-        )
-        return SuperpotentialTerm(
-            n + 1, numerator, plucker_poly(staircase(n)), quantum=True
-        )
-    return SuperpotentialTerm(
-        i,
-        signed_pair_sum(numerator_pair_levels(n, i)),
-        signed_pair_sum(denominator_pair_levels(n, i)),
-    )
+        numerator = Polynomial.variable(QUANTUM) * plucker_poly(staircase_prefix(n, n - 2))
+        return SuperpotentialTerm(i, numerator, plucker_poly(seed), quantum=True)
+    return SuperpotentialTerm(i, plucker_poly(add_unique_box(n, seed)), plucker_poly(seed))
 
 
 def superpotential(n: int) -> list[SuperpotentialTerm]:

@@ -53,7 +53,6 @@ from .diagrams import (
     check_rank,
     diagram,
     empty_diagram,
-    full_columns,
     staircase,
     staircase_prefix,
 )
@@ -67,7 +66,7 @@ from .polynomials import (
     torus_var,
     variable_name,
 )
-from .potential import check_plucker, plucker_poly, potential_term, superpotential
+from .potential import _term_seeds, check_plucker, plucker_poly, potential_term, superpotential
 
 _FIELD_BITS = 8
 _FIELD_MAX = (1 << _FIELD_BITS) - 1
@@ -420,20 +419,10 @@ def predicted_denominator_restriction(n: int, i: int) -> Polynomial:
     """Closed-form monomial the restricted i-th denominator must equal.
 
     It is the product of the coordinates of the cells of term i's seed
-    diagrams: none for index 0, staircase_prefix(n, i-1) and full_columns(n, i)
-    for 0 < i < n, where a cell of both counts twice, staircase_prefix(n, n-1)
-    for index n and the staircase for index n+1.
+    diagrams, potential._term_seeds(n, i), where a cell of both seeds of a
+    middle term counts twice.
     """
-    check_rank(n)
-    check_index("term index", i, 0, n + 1)
-    if i == 0:
-        seeds = []
-    elif i == n:
-        seeds = [staircase_prefix(n, n - 1)]
-    elif i == n + 1:
-        seeds = [staircase(n)]
-    else:
-        seeds = [staircase_prefix(n, i - 1), full_columns(n, i)]
+    seeds = _term_seeds(n, i)
     uses = Counter(
         end for seed in seeds for ends, d in zip(_row_ends(n), seed) for end in ends[1 : d + 1]
     )
@@ -486,7 +475,13 @@ def coordinate_sum(n: int) -> Polynomial:
 
 def _laurent_polys(n: int) -> list:
     """p[staircase] and q * p[row-prefix n-2], whose restrictions are the
-    denominator and the quantum part of the Laurent form."""
+    denominator and the quantum part of the Laurent form.
+
+    This states the quantum term a second time on purpose: the Laurent
+    verdict is the one check that compares term n+1 with a form the
+    construction does not build, so a wrong quantum term from potential_term
+    would not cancel on both sides of it.
+    """
     full, prefix = map(plucker_poly, (staircase(n), staircase_prefix(n, n - 2)))
     return [full, Polynomial.variable(QUANTUM) * prefix]
 

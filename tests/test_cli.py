@@ -247,6 +247,27 @@ def test_out_of_memory_exits_2_with_one_message(runner, monkeypatch, target, arg
     assert isinstance(result.exception, SystemExit)
 
 
+# Past the machine's index size.  Each command below fails at its first
+# (0,) * n or list(range(...)) and allocates nothing; diagrams, hasse and
+# verify --n would allocate until memory runs out, so they are not run here.
+HUGE = "99999999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "args, ranks",
+    (
+        (["potential", "--n", HUGE], f"rank {HUGE}"),
+        (["restrict", "--n", HUGE, "--diagram", "1"], f"rank {HUGE}"),
+        (["verify", "--from", "2", "--to", HUGE], f"ranks 2 to {HUGE}"),
+    ),
+)
+def test_rank_too_large_to_index_exits_2_with_one_message(runner, args, ranks):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {args[0]} ran out of memory at {ranks}\n"
+
+
 def test_verify_fails_on_a_broken_potential(runner, monkeypatch):
     terms, _ = flipped_level_sign(4)
     monkeypatch.setattr("ogmirror.checks.superpotential", lambda n: list(terms))

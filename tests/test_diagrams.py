@@ -121,6 +121,14 @@ def test_staircase_families():
         full_columns(3, 0)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_full_columns_of_a_bool_count_is_plain_ints(n):
+    rows = full_columns(n, True)
+    assert rows == full_columns(n, 1)
+    assert all(type(row) is int for row in rows)
+    assert format_diagram(rows) == ",".join(["1"] * n)
+
+
 def test_addable_positions_examples():
     assert addable_positions(4, (1, 2, 1, 0), 3) == [LabeledBox(3, 2, 3)]
     assert addable_positions(4, (1, 2, 1, 0), 5) == []

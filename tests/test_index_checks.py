@@ -21,6 +21,7 @@ from ogmirror.diagrams import (
 )
 from ogmirror.polynomials import Polynomial
 from ogmirror.potential import (
+    _term_seeds,
     box_derivation,
     denominator_pair_levels,
     numerator_pair_levels,
@@ -48,6 +49,8 @@ INDEX_SITES = (
     (denominator_pair_levels, (4,), "middle term index 4 outside 2..3"),
     (box_derivation, (5, ONE), "derivation index 5 outside 0..4"),
     (potential_term, (6,), "term index 6 outside 0..5"),
+    (_term_seeds, (-1,), "term index -1 outside 0..5"),
+    (_term_seeds, (6,), "term index 6 outside 0..5"),
     (predicted_denominator_restriction, (-1,), "term index -1 outside 0..5"),
     (predicted_denominator_restriction, (6,), "term index 6 outside 0..5"),
     (term_restriction_factor, (5,), "term index 5 outside 0..4"),
@@ -65,6 +68,7 @@ NON_INT_SITES = (
     (numerator_pair_levels, (3.0,), "middle term index must be an int, got 3.0"),
     (box_derivation, (2.5, ONE), "derivation index must be an int, got 2.5"),
     (potential_term, (2.5,), "term index must be an int, got 2.5"),
+    (_term_seeds, (3.0,), "term index must be an int, got 3.0"),
     (predicted_denominator_restriction, (2.0,), "term index must be an int, got 2.0"),
     (term_restriction_factor, (2.5,), "term index must be an int, got 2.5"),
     (verify_term_restriction, (2.0,), "term index must be an int, got 2.0"),

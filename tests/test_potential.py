@@ -16,6 +16,7 @@ from ogmirror.diagrams import (
 from ogmirror.polynomials import QUANTUM, Polynomial, plucker_var, torus_var, variable_name
 from ogmirror.potential import (
     SuperpotentialTerm,
+    _term_seeds,
     box_derivation,
     denominator_pair_levels,
     numerator_pair_levels,
@@ -243,6 +244,15 @@ def test_box_derivation_on_empty_diagram():
 def test_box_derivation_of_zero_and_constants():
     assert box_derivation(4, 2, Polynomial.zero()) == 0
     assert box_derivation(4, 2, Polynomial.constant(7)) == 0
+    for i in range(5):  # an int is a constant
+        assert box_derivation(4, i, 5) == box_derivation(4, i, 0) == 0
+
+
+@pytest.mark.parametrize("operand, name", (("x", "str"), (1.5, "float")))
+def test_box_derivation_refuses_other_operands(operand, name):
+    with pytest.raises(TypeError) as raised:
+        box_derivation(3, 1, operand)
+    assert str(raised.value) == f"cannot differentiate a {name}: not a polynomial or an int"
 
 
 def test_box_derivation_leibniz_on_powers():
@@ -316,6 +326,46 @@ def test_boundary_terms_in_closed_form(n):
     for i, (numerator, denominator) in rows.items():
         term = potential_term(n, i)
         assert (term.numerator, term.denominator) == (p(*numerator), p(*denominator))
+
+
+def _seed_table(n):
+    """Each term's seed diagrams, written out row by row."""
+
+    def prefix(k):
+        return tuple(range(1, k + 1)) + (0,) * (n - k)
+
+    def columns(k):
+        return tuple(min(r, k) for r in range(1, n + 1))
+
+    table = {0: ((0,) * n,), 1: ((1,) * n,), n: (prefix(n - 1),), n + 1: (prefix(n),)}
+    table.update({i: (prefix(i - 1), columns(i)) for i in range(2, n)})
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_term_seeds_are_the_seed_table_in_plain_ints(n):
+    table = _seed_table(n)
+    assert sorted(table) == list(range(n + 2))
+    for i in (*table, False, True):  # a bool index gives its int's seeds
+        seeds = _term_seeds(n, i)
+        assert seeds == table[i]
+        assert all(type(row) is int for seed in seeds for row in seed)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_pair_levels_start_at_the_term_seeds(n):
+    for i in range(2, n):
+        assert denominator_pair_levels(n, i)[0] == (_term_seeds(n, i),)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_boundary_terms_are_grown_from_their_seed(n):
+    for i in (0, 1, n, n + 1):
+        (seed,) = _term_seeds(n, i)
+        term = potential_term(n, i)
+        assert term.denominator == plucker_poly(seed)
+        if i <= n:
+            assert term.numerator == plucker_poly(add_unique_box(n, seed))
 
 
 def test_superpotential_n3_degrees():
